@@ -34,11 +34,11 @@ from .errors import AllInfeasible, DefinitenessLost, NotPositiveDefinite
 from .linalg import (
     cholesky,
     gamma_matrix,
-    power_iteration,
     row_abs_sums,
     scaled_row_sums,
     spectral_norm,
     spectral_upper_bound,
+    top_eigenvalue,
 )
 from .network import Network
 
@@ -100,7 +100,6 @@ class BoundReport:
     per_layer: list
     wall_time: float
     multipliers: MultiplierSequence
-    final_residual: float = 0.0
     sweep: dict | None = field(default=None)
 
 
@@ -111,7 +110,7 @@ def strategy_sn(G: np.ndarray, c: float, d_tilde: float = 1.0) -> np.ndarray:
 
 
 def _sn_with_stat(G, c, d_tilde):
-    sigma, _ = power_iteration(G)
+    sigma = top_eigenvalue(G)
     n = G.shape[0]
     if sigma <= 0.0:
         return np.full(n, d_tilde), 0.0
@@ -161,9 +160,9 @@ def strategy_shift(G: np.ndarray, c: float) -> np.ndarray:
 def _shift_with_stat(G, c):
     t = 0.5 * np.diag(G)
     R = 0.5 * G - np.diag(t)
-    # R is symmetric but possibly indefinite; take sigma_max via its square
-    sq, _ = power_iteration(R @ R)
-    s = math.sqrt(max(sq, 0.0))
+    # R is symmetric but possibly indefinite: its spectral norm is the
+    # larger magnitude of its extreme eigenvalues
+    s = float(np.abs(np.linalg.eigvalsh(R)).max(initial=0.0))
     if s > 0.0:
         return 1.0 / (t + c * s), s
     # G diagonal: Lambda^{-1} = T alone would make M_{k+1} exactly singular,
@@ -220,13 +219,15 @@ def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
     lambdas = []
     per_layer = []
     for k in range(l):
+        # extreme c values can over/underflow on deep nets; treat any
+        # non-finite intermediate as a lost-definiteness grid point
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             G = gamma_matrix(net.weights[k], L)
+            if not np.all(np.isfinite(G)):
+                raise DefinitenessLost(k + 1)
             lam, stat = _select_multiplier(G, cfg)
             M = np.diag(2.0 * lam) - (lam[:, None] * G) * lam[None, :]
         M = 0.5 * (M + M.T)
-        # extreme c values can over/underflow on deep nets; treat any
-        # non-finite intermediate as a lost-definiteness grid point
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(M))):
             raise DefinitenessLost(k + 1)
         try:
@@ -247,9 +248,8 @@ def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
         raise DefinitenessLost(l + 1)
     if cfg.certified:
         gamma = spectral_upper_bound(G_out)
-        residual = 0.0
     else:
-        gamma, residual = power_iteration(G_out)
+        gamma = top_eigenvalue(G_out)
     # gamma can only be exactly zero when the output layer itself is zero;
     # otherwise it is an underflow artifact, not a valid bound
     if gamma == 0.0 and np.any(net.weights[l] != 0.0):
@@ -263,7 +263,6 @@ def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
         per_layer=per_layer,
         wall_time=time.perf_counter() - t0,
         multipliers=MultiplierSequence(lambdas, gamma),
-        final_residual=residual,
     )
 
 
@@ -442,7 +441,6 @@ def report_to_dict(report: BoundReport) -> dict:
             "theta": cfg.theta,
             "certified": cfg.certified,
         },
-        "final_residual": report.final_residual,
         "wall_time_s": report.wall_time,
         "per_layer": report.per_layer,
         "multipliers": {
@@ -476,6 +474,5 @@ def report_from_dict(d: dict) -> BoundReport:
         per_layer=d.get("per_layer", []),
         wall_time=float(d.get("wall_time_s", 0.0)),
         multipliers=multipliers,
-        final_residual=float(d.get("final_residual", 0.0)),
         sweep=d.get("sweep"),
     )

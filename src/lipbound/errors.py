@@ -14,19 +14,7 @@ class NotPositiveDefinite(LipboundError):
 
 
 class NotConverged(LipboundError):
-    """Power iteration exhausted its iteration budget.
-
-    Carries the best available estimate so the caller can decide whether
-    it is still acceptable.
-    """
-
-    def __init__(self, sigma: float, residual: float, message: str | None = None):
-        self.sigma = sigma
-        self.residual = residual
-        super().__init__(
-            message
-            or f"power iteration did not converge (sigma={sigma!r}, residual={residual!r})"
-        )
+    """A LAPACK eigen-solver reported failure to converge."""
 
 
 class NonPositiveScaling(LipboundError):

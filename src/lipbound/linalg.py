@@ -1,18 +1,18 @@
 """Dense symmetric linear-algebra kernels.
 
 Everything here operates on row-major float64 numpy arrays at desk scale;
-there is no sparse path.  All functions are pure, so values are safe to
-share across threads.
+there is no sparse path and no iterative solver: factorizations and
+eigenvalues come straight from LAPACK.  All functions are pure, so values
+are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dsyevr
 
 from .errors import (
     DimensionMismatch,
@@ -23,16 +23,6 @@ from .errors import (
 
 # Relative symmetry tolerance for inputs declared symmetric.
 SYMMETRY_RTOL = 1e-10
-
-# Power-iteration defaults: relative tolerance on the Rayleigh quotient and
-# the iteration cap.
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10000
-
-# Extra iterations allowed after the Rayleigh quotient has stabilized, to
-# drive the eigenvector residual down as well.  Bounded so that clustered
-# spectra (where the residual plateaus) cannot stall the iteration.
-_POLISH_ITERS = 100
 
 
 def _require_square(A: np.ndarray) -> None:
@@ -75,7 +65,7 @@ def gamma_matrix(W: np.ndarray, L: np.ndarray) -> np.ndarray:
 
     Computed as X.T @ X with L @ X = W.T, so M is never inverted explicitly
     and the result is PSD by construction.  Symmetrized before returning
-    because downstream row-sum and power-iteration logic assumes exact
+    because the row-sum and eigen-solve logic downstream assumes exact
     symmetry.
     """
     W = np.asarray(W, dtype=np.float64)
@@ -91,94 +81,39 @@ def gamma_matrix(W: np.ndarray, L: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def _power_run(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    v0: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[float, float, bool]:
-    v = v0 / np.linalg.norm(v0)
-    sigma = 0.0
-    residual = math.inf
-    polish = -1
-    for _ in range(max_iter):
-        w = matvec(v)
-        sigma_new = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0, 0.0, True
-        residual = float(np.linalg.norm(w - sigma_new * v))
-        if polish < 0 and abs(sigma_new - sigma) <= tol * abs(sigma_new):
-            polish = _POLISH_ITERS
-        if polish >= 0 and (residual <= tol * (1.0 + abs(sigma_new)) or polish == 0):
-            return sigma_new, residual, True
-        if polish > 0:
-            polish -= 1
-        sigma = sigma_new
-        v = w / norm_w
-    return sigma, residual, False
+def top_eigenvalue(S: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix.
 
-
-def power_iteration_matvec(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    trace: float = 1.0,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-) -> tuple[float, float]:
-    """Dominant eigenvalue of a symmetric PSD operator given only a matvec.
-
-    Starts from the normalized all-ones vector; if that lands in the kernel
-    (estimate 0 with nonzero trace) restarts once from normalized
-    (1, 2, ..., n).  Returns (sigma, residual) where residual is
-    ``norm(A v - sigma v)`` at the final unit vector.
+    One LAPACK ``dsyevr`` call that computes only the top eigenvalue and no
+    eigenvectors.  LAPACK scales the matrix internally, so entries far
+    outside the square root of the float range do not overflow.  Raises
+    NotConverged if LAPACK reports failure (``info > 0``), which is also
+    how a NaN entry surfaces.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    S = np.asarray(S, dtype=np.float64)
+    _require_square(S)
+    _require_symmetric(S)
+    n = S.shape[0]
     if n == 0:
-        return 0.0, 0.0
-    sigma, residual, ok = _power_run(matvec, np.ones(n), tol, max_iter)
-    if sigma == 0.0 and trace != 0.0:
-        sigma, residual, ok = _power_run(
-            matvec, np.arange(1.0, n + 1.0), tol, max_iter
-        )
-    if not ok:
-        raise NotConverged(sigma, residual)
-    return sigma, residual
+        return 0.0
+    w, _, _, _, info = dsyevr(S, compute_v=0, range="I", il=n, iu=n)
+    if info > 0:
+        raise NotConverged(f"dsyevr failed to converge (info={info})")
+    if info < 0:  # pragma: no cover - LAPACK argument error
+        raise ValueError(f"dsyevr: illegal argument {-info}")
+    return float(w[0])
 
 
-def power_iteration(
-    A: np.ndarray,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-) -> tuple[float, float]:
-    """Dominant eigenvalue of a symmetric PSD matrix by power iteration."""
-    A = np.asarray(A, dtype=np.float64)
-    _require_square(A)
-    _require_symmetric(A)
-    n = A.shape[0]
-    if n == 0:
-        return 0.0, 0.0
-    return power_iteration_matvec(
-        lambda v: A @ v, n, trace=float(np.trace(A)), tol=tol, max_iter=max_iter
-    )
-
-
-def spectral_norm(
-    W: np.ndarray,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-) -> float:
+def spectral_norm(W: np.ndarray) -> float:
     """Largest singular value of a (possibly rectangular) matrix.
 
-    Power iteration on the smaller of the two Gram matrices.
+    Top eigenvalue of the smaller of the two Gram matrices.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2:
         raise DimensionMismatch("expected a 2-D matrix")
     G = W @ W.T if W.shape[0] <= W.shape[1] else W.T @ W
-    G = 0.5 * (G + G.T)
-    sigma, _ = power_iteration(G, tol=tol, max_iter=max_iter)
+    sigma = top_eigenvalue(0.5 * (G + G.T))
     return math.sqrt(max(sigma, 0.0))
 
 
@@ -223,11 +158,15 @@ def shifted_cholesky_report(S: np.ndarray, shift: float) -> tuple[bool, float]:
     n = S.shape[0]
     if n == 0:
         return True, 0.0
-    A = S + shift * np.eye(n)
-    c, info = dpotrf(np.ascontiguousarray(A), lower=1, clean=1)
+    # a single n x n copy, factored in place (LAPACK overwrites Fortran-order
+    # arrays): the feasibility matrices this checks reach tens of MB
+    A = np.array(S, order="F")
+    A[np.diag_indices(n)] += shift
+    c, info = dpotrf(A, lower=1, clean=1, overwrite_a=1)
     if info == 0:
         d = np.diag(c)
         return True, float(d.min()) ** 2 - shift
+    del A, c  # released before the Gershgorin pass allocates |S|
     diag = np.diag(S)
     off = row_abs_sums(S) - np.abs(diag)
     return False, float(np.min(diag - off))
@@ -246,8 +185,8 @@ def spectral_upper_bound(G: np.ndarray) -> float:
     """Rigorous upper bound on sigma_max of a symmetric matrix.
 
     Uses max row-absolute-sum, which dominates the spectral radius; this is
-    the certified-mode replacement for power iteration (which approaches
-    sigma_max from below).
+    the certified-mode replacement for the floating-point eigen-solve,
+    whose rounding can land on either side of sigma_max.
     """
     G = np.asarray(G, dtype=np.float64)
     _require_square(G)

@@ -30,16 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionChainError, DimensionMismatch, ParseError
-from .linalg import power_iteration, power_iteration_matvec
+from .linalg import spectral_norm
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
 _MAGIC = b"LNET"
 _BINARY_VERSION = 1
-
-# Networks whose largest layer dimension exceeds this use matvec-chain
-# power iteration for the Jacobian norm instead of materializing J.
-DENSE_JACOBIAN_CUTOFF = 512
 
 
 def _relu(z):
@@ -296,37 +292,25 @@ def _activation_derivs(net: Network, x: np.ndarray) -> list:
     return derivs
 
 
-def jacobian_sigma(net: Network, x, dense_cutoff: int = DENSE_JACOBIAN_CUTOFF) -> float:
+def jacobian_sigma(net: Network, x) -> float:
     """Largest singular value of the Jacobian at x.
 
     J = W_{l+1} D_l W_l ... D_1 W_1 with D_k the activation derivative
-    diagonals.  Small networks materialize J and power-iterate its smaller
-    Gram matrix; large networks power-iterate J^T J using matrix-vector
-    products through the layer chain, never forming J.
+    diagonals.  J is built from its narrow end, so every intermediate
+    product has min(n_out, n_0) rows (or columns).
     """
     x = np.asarray(x, dtype=np.float64)
     n0 = net.dims[0]
     if x.shape != (n0,):
         raise DimensionMismatch(f"input must have shape ({n0},), got {x.shape}")
     derivs = _activation_derivs(net, x)
-
-    if max(net.dims) <= dense_cutoff:
-        J = net.weights[0]
-        for k in range(net.depth):
-            J = net.weights[k + 1] @ (derivs[k][:, None] * J)
-        G = J @ J.T if J.shape[0] <= J.shape[1] else J.T @ J
-        G = 0.5 * (G + G.T)
-        sigma, _ = power_iteration(G)
-        return math.sqrt(max(sigma, 0.0))
-
-    def jtj(v: np.ndarray) -> np.ndarray:
-        u = net.weights[0] @ v
-        for k in range(net.depth):
-            u = net.weights[k + 1] @ (derivs[k] * u)
-        w = net.weights[net.depth].T @ u
+    W = net.weights
+    if net.dims[-1] <= n0:
+        J = W[-1]
         for k in range(net.depth - 1, -1, -1):
-            w = net.weights[k].T @ (derivs[k] * w)
-        return w
-
-    sigma, _ = power_iteration_matvec(jtj, n0)
-    return math.sqrt(max(sigma, 0.0))
+            J = (J * derivs[k]) @ W[k]
+    else:
+        J = W[0]
+        for k in range(net.depth):
+            J = W[k + 1] @ (derivs[k][:, None] * J)
+    return spectral_norm(J)

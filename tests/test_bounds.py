@@ -1,6 +1,7 @@
 """Tests for the recursive bound engine and its multiplier strategies."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,12 @@ class TestStrategies:
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose(strategy_shift(G, 2.0), [0.5, 0.5])
 
+    def test_shift_negative_eigenvalue_dominates(self):
+        # remainder R = (I - ones)/2 has eigenvalues {-1, 0.5, 0.5}: its
+        # norm is |lambda_min| = 1, so Lambda = 1 / (1 + 2 * 1)
+        G = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+        np.testing.assert_allclose(strategy_shift(G, 2.0), [1 / 3] * 3, rtol=1e-14)
+
     def test_shift_degenerate_scalar(self):
         lam = strategy_shift(np.array([[4.0]]), 1.5)[0]
         eta = 1e-9 * (1.0 + 2.0)
@@ -133,6 +140,24 @@ class TestProductBound:
     def test_identity_chain(self):
         net = Network((np.eye(3),) * 5)
         assert abs(product_bound(net).bound - 1.0) <= 1e-10
+
+
+class TestFloatRange:
+    """Entries far beyond the square root of the float range."""
+
+    def test_scalar_chain_1e40(self):
+        # G_out = 1e160: its square overflows, the bound 1e80 does not
+        net = Network((np.array([[1e40]]), np.array([[1e40]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bounds = [
+                run_recursion(net, StrategyConfig("fast")).bound,
+                run_recursion(net, StrategyConfig("sn", c=1.0)).bound,
+                run_recursion(net, StrategyConfig("gc", c=1.0)).bound,
+                product_bound(net).bound,
+            ]
+        for bound in bounds:
+            assert abs(bound - 1e80) <= 1e-12 * 1e80
 
 
 class TestRunRecursion:
@@ -281,3 +306,11 @@ class TestReportSerialization:
         for a, b in zip(report.multipliers.lambdas, back.multipliers.lambdas):
             np.testing.assert_array_equal(a, b)
         assert back.multipliers.gamma == report.multipliers.gamma
+
+    def test_loads_report_with_final_residual(self):
+        # reports written by earlier versions carry a final_residual field
+        report = run_recursion(scalar_net(), StrategyConfig("fast"))
+        payload = report_to_dict(report)
+        assert "final_residual" not in payload
+        payload["final_residual"] = 1e-12
+        assert report_from_dict(payload).bound == report.bound

@@ -77,6 +77,21 @@ class TestVerifyFeasibility:
             report = run_recursion(net, cfg)
             assert verify_feasibility(net, report.multipliers).psd, cfg.method
 
+    def test_deep_shrunk_gamma_rejected(self):
+        # at depth 30 the Lambda blocks lie far below gamma on the diagonal
+        net = generate_random(30, 64, 64, 10, seed=0)
+        ms = run_recursion(net, StrategyConfig("gc", c=1.0)).multipliers
+        assert verify_feasibility(net, ms).psd
+        for factor in (0.99, 1.0 - 1e-6):
+            shrunk = MultiplierSequence(ms.lambdas, ms.gamma * factor)
+            assert not verify_feasibility(net, shrunk).psd, factor
+
+    def test_zero_gamma_report_feasible(self):
+        net = Network((np.array([[2.0]]), np.array([[0.0]])))
+        report = run_recursion(net, StrategyConfig("fast"))
+        assert report.multipliers.gamma == 0.0
+        assert verify_feasibility(net, report.multipliers).psd
+
     def test_dimension_cap(self):
         net = generate_random(2, 10, 10, 10, seed=0)
         with pytest.raises(DimensionCapExceeded):

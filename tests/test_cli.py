@@ -74,7 +74,9 @@ class TestCompute:
         assert main(["compute", "--net", str(oracle_path),
                      "--method", "fast"]) == 0
         fast_line = capsys.readouterr().out
-        assert sn_line.split("bound=")[1] == fast_line.split("bound=")[1]
+        # compare the bound token only: the line also carries the run time
+        assert (sn_line.split("bound=")[1].split()[0]
+                == fast_line.split("bound=")[1].split()[0])
 
     def test_best_dominates_fast(self, tmp_path, capsys):
         net_path = tmp_path / "net.json"
@@ -132,6 +134,24 @@ class TestVerify:
         report_path.write_text(json.dumps(payload))
         assert main(["verify", "--net", str(oracle_path),
                      "--report", str(report_path), "--samples", "5"]) == 6
+
+    def test_deep_report_with_shrunk_gamma_exit_6(self, tmp_path, capsys):
+        # the Lambda blocks of a depth-30 report lie many orders of
+        # magnitude below gamma; 1% off gamma must still be caught
+        net_path, report_path = tmp_path / "net.json", tmp_path / "best.json"
+        assert main(["gen", "--layers", "30", "--width", "64", "--in", "64",
+                     "--out", "10", "--seed", "0", "--o", str(net_path)]) == 0
+        assert main(["compute", "--net", str(net_path), "--method", "best",
+                     "--o", str(report_path)]) == 0
+        payload = json.loads(report_path.read_text())
+        payload["gamma"] *= 0.99
+        payload["multipliers"]["gamma"] *= 0.99
+        payload["bound"] *= 0.99 ** 0.5
+        report_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", "--net", str(net_path), "--report",
+                     str(report_path), "--samples", "5"]) == 6
+        assert "not PSD" in capsys.readouterr().err
 
     def test_oversized_lmi_message_but_empirical_runs(
         self, oracle_path, tmp_path, capsys

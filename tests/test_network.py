@@ -8,6 +8,7 @@ import pytest
 from lipbound.errors import DimensionChainError, DimensionMismatch, ParseError
 from lipbound.network import (
     Network,
+    _activation_derivs,
     forward,
     generate_random,
     jacobian_sigma,
@@ -202,12 +203,17 @@ class TestJacobianSigma:
         assert jacobian_sigma(net, np.array([0.0])) == 0.0
         assert abs(jacobian_sigma(net, np.array([1.0])) - 6.0) <= 1e-12
 
-    def test_matvec_path_matches_dense(self):
-        net = generate_random(4, 20, 10, 6, seed=21)
-        x = np.linspace(-1, 1, 10)
-        dense = jacobian_sigma(net, x)
-        chained = jacobian_sigma(net, x, dense_cutoff=0)
-        assert abs(dense - chained) <= 1e-8 * max(dense, 1.0)
+    def test_narrow_end_matches_input_side(self):
+        # J is built from the output end when n_out <= n_0, from the input
+        # end otherwise; compare both against an input-side product
+        for in_dim, out_dim in ((10, 6), (8, 8), (6, 10)):
+            net = generate_random(4, 20, in_dim, out_dim, seed=21)
+            x = np.linspace(-1, 1, in_dim)
+            J = net.weights[0]
+            for W, d in zip(net.weights[1:], _activation_derivs(net, x)):
+                J = W @ (d[:, None] * J)
+            expect = float(np.linalg.svd(J, compute_uv=False)[0])
+            assert abs(jacobian_sigma(net, x) - expect) <= 1e-12 * expect
 
     def test_never_exceeds_product_of_layer_norms(self):
         rng = np.random.default_rng(17)
