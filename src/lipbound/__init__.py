@@ -1,19 +1,19 @@
-"""Certified Lipschitz upper bounds for feedforward neural networks."""
+"""Certified Lipschitz upper bounds for feedforward neural networks.
+
+The dense linear-algebra kernels are importable from ``lipbound.linalg``.
+"""
 
 __version__ = "0.1.0"
 
 from .bounds import (
+    STRATEGIES,
     BoundReport,
     MultiplierSequence,
     StrategyConfig,
     best_of,
+    evaluate,
     product_bound,
     run_recursion,
-    strategy_gc,
-    strategy_gcs,
-    strategy_interp,
-    strategy_shift,
-    strategy_sn,
     sweep_c,
 )
 from .certify import (
@@ -27,25 +27,10 @@ from .certify import (
 from .errors import (
     AllInfeasible,
     DefinitenessLost,
-    DimensionCapExceeded,
     DimensionChainError,
-    DimensionMismatch,
     LipboundError,
-    NonPositiveScaling,
-    NotConverged,
-    NotPositiveDefinite,
     ParseError,
     ValidationFailed,
-)
-from .linalg import (
-    cholesky,
-    gamma_matrix,
-    psd_check,
-    row_abs_sums,
-    scaled_row_sums,
-    spectral_norm,
-    spectral_upper_bound,
-    top_eigenvalue,
 )
 from .network import (
     Network,
@@ -57,47 +42,31 @@ from .network import (
 )
 
 __all__ = [
+    "STRATEGIES",
     "AllInfeasible",
     "BoundReport",
     "DefinitenessLost",
-    "DimensionCapExceeded",
     "DimensionChainError",
-    "DimensionMismatch",
     "LipboundError",
     "LmiCertificate",
     "MultiplierSequence",
     "Network",
-    "NonPositiveScaling",
-    "NotConverged",
-    "NotPositiveDefinite",
     "ParseError",
     "StrategyConfig",
     "ValidationFailed",
     "ValidationReport",
     "assemble_lipsdp",
     "best_of",
-    "cholesky",
     "empirical_lower_bound",
+    "evaluate",
     "forward",
-    "gamma_matrix",
     "generate_random",
     "jacobian_sigma",
     "load_network",
     "product_bound",
-    "psd_check",
-    "row_abs_sums",
     "run_recursion",
     "save_network",
-    "scaled_row_sums",
-    "spectral_norm",
-    "spectral_upper_bound",
-    "strategy_gc",
-    "strategy_gcs",
-    "strategy_interp",
-    "strategy_shift",
-    "strategy_sn",
     "sweep_c",
-    "top_eigenvalue",
     "validate",
     "verify_feasibility",
 ]

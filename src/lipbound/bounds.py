@@ -7,24 +7,36 @@ multiplier Lambda_k by one of several strategies, and advances
 M_{k+1} = 2 Lambda_k - Lambda_k G_k Lambda_k.  The final bound is
 sqrt(sigma_max(W_{l+1} M_{l+1}^{-1} W_{l+1}^T)).
 
-Multiplier strategies:
+The strategies are one family of closed-form LipSDP feasible points.
+``STRATEGIES`` holds one record per method: its rule for Lambda_k, the
+open interval its ``c`` must lie in, and its default sweep of (c, theta)
+points.
 
-- ``fast``   Lambda = I / sigma_max(G)
+- ``fast``   Lambda = I / sigma_max(G); takes no c and has no sweep
 - ``sn``     Lambda = c I / sigma_max(G), c in (0, 2); fast is c = 1
-- ``gc``     Gershgorin: Lambda_ii = c / row_abs_sum_i(G)
+- ``gc``     Gershgorin: Lambda_ii = c / row_abs_sum_i(G), c in (0, 2)
 - ``gcs``    scaled Gershgorin with Q = diag(G) (zero entries replaced)
 - ``shift``  Lambda_ii = 1 / (G_ii/2 + c * sigma_max(G/2 - diag(G)/2)), c > 1
-- ``interp`` convex combination of the sn and gc choices in Lambda^{-1}
+- ``interp`` convex combination of the sn and gc choices in Lambda^{-1};
+             its default sweep covers theta as well as c
+
+``product``, the product of the layer spectral norms, runs no recursion.
+``sweep_c`` runs one method over a list of points, ``best_of`` keeps the
+smallest bound of product, fast and every sweep, and ``evaluate`` picks
+one of these by name, as the CLI does.
 
 Every run is internally sequential (a data dependency chain), but distinct
-(method, c) evaluations only read the shared immutable network and are safe
-to execute concurrently; sweeps reduce with a fixed deterministic tie order.
+configurations only read the shared immutable network and are safe to
+execute concurrently.  Reductions are deterministic: the first of equal
+bounds wins, in grid order within a sweep and in ``METHODS`` order across
+methods.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -42,19 +54,96 @@ from .linalg import (
 )
 from .network import Network
 
-METHODS = ("product", "fast", "sn", "gc", "gcs", "shift", "interp")
 
-# Tie order when reducing candidate reports to a single best bound.
-METHOD_ORDER = {m: i for i, m in enumerate(METHODS)}
+@dataclass(frozen=True)
+class Strategy:
+    """One method's multiplier rule, its valid c and its default sweep."""
+
+    select: Callable  # (G, cfg) -> (Lambda as a 1-D array, per-layer stat)
+    c_range: tuple | None  # open interval for c; None when the rule takes no c
+    grid: tuple = ()  # default sweep as (c, theta) points; empty: no sweep
+
+
+def _sn(G, c, d_tilde):
+    """Spectral-norm multiplier c / sigma_max(G) on every coordinate."""
+    sigma = top_eigenvalue(G)
+    n = G.shape[0]
+    if sigma <= 0.0:
+        return np.full(n, d_tilde), 0.0
+    return np.full(n, c / sigma), sigma
+
+
+def _row_sum_rule(sums, c, d_tilde):
+    """c / row sum, with d_tilde on zero rows."""
+    lam = np.where(sums > 0.0, c / np.where(sums > 0.0, sums, 1.0), d_tilde)
+    return lam, float(sums.max()) if sums.size else 0.0
+
+
+def _gc(G, cfg):
+    """Gershgorin multiplier c / row-abs-sum."""
+    return _row_sum_rule(row_abs_sums(G), cfg.c, cfg.d_tilde)
+
+
+def _gcs(G, cfg):
+    """Diagonally scaled Gershgorin multiplier with Q = diag(G)."""
+    diag = np.diag(G).copy()
+    epsilon_q = cfg.epsilon_q
+    if epsilon_q is None:
+        top = float(diag.max()) if diag.size else 0.0
+        epsilon_q = 1e-12 * (1.0 + max(top, 0.0))
+    q = np.where(diag > 0.0, diag, epsilon_q)
+    return _row_sum_rule(scaled_row_sums(G, q), cfg.c, cfg.d_tilde)
+
+
+def _shift(G, cfg):
+    """Shifted multiplier 1 / (G_ii/2 + c * sigma_max(G/2 - T)), T = diag(G)/2."""
+    t = 0.5 * np.diag(G)
+    R = 0.5 * G - np.diag(t)
+    # R is symmetric but possibly indefinite: its spectral norm is the
+    # larger magnitude of its extreme eigenvalues
+    s = float(np.abs(np.linalg.eigvalsh(R)).max(initial=0.0))
+    if s > 0.0:
+        return 1.0 / (t + cfg.c * s), s
+    # G diagonal: Lambda^{-1} = T alone would make M_{k+1} exactly singular,
+    # so add a small eta to keep the key inequality strict
+    eta = 1e-9 * (1.0 + (float(t.max()) if t.size else 0.0))
+    return 1.0 / (t + eta), 0.0
+
+
+def _interp(G, cfg):
+    """Interpolate Lambda^{-1} between the sn and gc choices (convex set)."""
+    # endpoints returned verbatim: a double reciprocal is not bit-exact
+    if cfg.theta == 1.0:
+        return _sn(G, cfg.c, cfg.d_tilde)
+    if cfg.theta == 0.0:
+        return _gc(G, cfg)
+    lam_sn, _ = _sn(G, cfg.c, cfg.d_tilde)
+    lam_gc, _ = _gc(G, cfg)
+    inv = cfg.theta / lam_sn + (1.0 - cfg.theta) / lam_gc
+    return 1.0 / inv, float(inv.max()) if inv.size else 0.0
+
 
 # c interval edges are covered densely because reported winners sit both in
 # the interior and near 2; 1.99 (not 2.0) keeps the key inequality strict.
-DEFAULT_GRIDS = {
-    "sn": [round(0.05 * i, 2) for i in range(1, 40)] + [1.99],
-    "gc": [round(0.05 * i, 2) for i in range(1, 40)] + [1.99],
-    "gcs": [round(0.05 * i, 2) for i in range(1, 40)] + [1.99],
-    "shift": [1.01, 1.1, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0],
+_C_SWEEP = tuple((round(0.05 * i, 2), 0.5) for i in range(1, 40)) + ((1.99, 0.5),)
+
+# After product, this order is the tie order of best_of.
+STRATEGIES = {
+    "fast": Strategy(lambda G, cfg: _sn(G, 1.0, cfg.d_tilde), None),
+    "sn": Strategy(lambda G, cfg: _sn(G, cfg.c, cfg.d_tilde), (0.0, 2.0), _C_SWEEP),
+    "gc": Strategy(_gc, (0.0, 2.0), _C_SWEEP),
+    "gcs": Strategy(_gcs, (0.0, 2.0), _C_SWEEP),
+    "shift": Strategy(
+        _shift, (1.0, math.inf),
+        tuple((c, 0.5) for c in (1.01, 1.1, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0)),
+    ),
+    "interp": Strategy(  # theta-major, then c
+        _interp, (0.0, 2.0),
+        tuple((c, t) for t in (0.25, 0.5, 0.75) for c in (0.5, 1.0, 1.5, 1.9)),
+    ),
 }
+
+METHODS = ("product",) + tuple(STRATEGIES)
 
 
 @dataclass
@@ -71,10 +160,11 @@ class StrategyConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method in ("sn", "gc", "gcs", "interp") and not 0.0 < self.c < 2.0:
-            raise ValueError(f"method {self.method!r} requires c in (0, 2)")
-        if self.method == "shift" and self.c <= 1.0:
-            raise ValueError("method 'shift' requires c > 1")
+        c_range = self.method != "product" and STRATEGIES[self.method].c_range
+        if c_range and not c_range[0] < self.c < c_range[1]:
+            raise ValueError(
+                f"method {self.method!r} requires c in ({c_range[0]:g}, {c_range[1]:g})"
+            )
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
         if self.d_tilde <= 0.0:
@@ -103,108 +193,6 @@ class BoundReport:
     sweep: dict | None = field(default=None)
 
 
-def strategy_sn(G: np.ndarray, c: float, d_tilde: float = 1.0) -> np.ndarray:
-    """Spectral-norm multiplier c / sigma_max(G) on every coordinate."""
-    lam, _ = _sn_with_stat(G, c, d_tilde)
-    return lam
-
-
-def _sn_with_stat(G, c, d_tilde):
-    sigma = top_eigenvalue(G)
-    n = G.shape[0]
-    if sigma <= 0.0:
-        return np.full(n, d_tilde), 0.0
-    return np.full(n, c / sigma), sigma
-
-
-def strategy_gc(G: np.ndarray, c: float, d_tilde: float = 1.0) -> np.ndarray:
-    """Gershgorin multiplier c / row-abs-sum, with d_tilde on zero rows."""
-    lam, _ = _gc_with_stat(G, c, d_tilde)
-    return lam
-
-
-def _gc_with_stat(G, c, d_tilde):
-    sums = row_abs_sums(G)
-    lam = np.where(sums > 0.0, c / np.where(sums > 0.0, sums, 1.0), d_tilde)
-    return lam, float(sums.max()) if sums.size else 0.0
-
-
-def strategy_gcs(
-    G: np.ndarray,
-    c: float,
-    epsilon_q: float | None = None,
-    d_tilde: float = 1.0,
-) -> np.ndarray:
-    """Diagonally scaled Gershgorin multiplier with Q = diag(G)."""
-    lam, _ = _gcs_with_stat(G, c, epsilon_q, d_tilde)
-    return lam
-
-
-def _gcs_with_stat(G, c, epsilon_q, d_tilde):
-    diag = np.diag(G).copy()
-    if epsilon_q is None:
-        top = float(diag.max()) if diag.size else 0.0
-        epsilon_q = 1e-12 * (1.0 + max(top, 0.0))
-    q = np.where(diag > 0.0, diag, epsilon_q)
-    sums = scaled_row_sums(G, q)
-    lam = np.where(sums > 0.0, c / np.where(sums > 0.0, sums, 1.0), d_tilde)
-    return lam, float(sums.max()) if sums.size else 0.0
-
-
-def strategy_shift(G: np.ndarray, c: float) -> np.ndarray:
-    """Shifted multiplier 1 / (G_ii/2 + c * sigma_max(G/2 - T)), T = diag(G)/2."""
-    lam, _ = _shift_with_stat(G, c)
-    return lam
-
-
-def _shift_with_stat(G, c):
-    t = 0.5 * np.diag(G)
-    R = 0.5 * G - np.diag(t)
-    # R is symmetric but possibly indefinite: its spectral norm is the
-    # larger magnitude of its extreme eigenvalues
-    s = float(np.abs(np.linalg.eigvalsh(R)).max(initial=0.0))
-    if s > 0.0:
-        return 1.0 / (t + c * s), s
-    # G diagonal: Lambda^{-1} = T alone would make M_{k+1} exactly singular,
-    # so add a small eta to keep the key inequality strict
-    eta = 1e-9 * (1.0 + (float(t.max()) if t.size else 0.0))
-    return 1.0 / (t + eta), 0.0
-
-
-def strategy_interp(G: np.ndarray, theta: float, cfg: StrategyConfig) -> np.ndarray:
-    """Interpolate Lambda^{-1} between the sn and gc choices (convex set)."""
-    lam, _ = _interp_with_stat(G, theta, cfg)
-    return lam
-
-
-def _interp_with_stat(G, theta, cfg):
-    # endpoints returned verbatim: a double reciprocal is not bit-exact
-    if theta == 1.0:
-        return _sn_with_stat(G, cfg.c, cfg.d_tilde)
-    if theta == 0.0:
-        return _gc_with_stat(G, cfg.c, cfg.d_tilde)
-    lam_sn, _ = _sn_with_stat(G, cfg.c, cfg.d_tilde)
-    lam_gc, _ = _gc_with_stat(G, cfg.c, cfg.d_tilde)
-    inv = theta / lam_sn + (1.0 - theta) / lam_gc
-    return 1.0 / inv, float(inv.max()) if inv.size else 0.0
-
-
-def _select_multiplier(G: np.ndarray, cfg: StrategyConfig):
-    if cfg.method == "fast":
-        return _sn_with_stat(G, 1.0, cfg.d_tilde)
-    if cfg.method == "sn":
-        return _sn_with_stat(G, cfg.c, cfg.d_tilde)
-    if cfg.method == "gc":
-        return _gc_with_stat(G, cfg.c, cfg.d_tilde)
-    if cfg.method == "gcs":
-        return _gcs_with_stat(G, cfg.c, cfg.epsilon_q, cfg.d_tilde)
-    if cfg.method == "shift":
-        return _shift_with_stat(G, cfg.c)
-    if cfg.method == "interp":
-        return _interp_with_stat(G, cfg.theta, cfg)
-    raise ValueError(f"method {cfg.method!r} has no per-layer multiplier")
-
-
 def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
     """Run the layer recursion under the given strategy.
 
@@ -212,6 +200,9 @@ def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
     that the multiplier choice violated strict feasibility numerically;
     sweeps treat that c as infeasible.
     """
+    if cfg.method not in STRATEGIES:
+        raise ValueError(f"method {cfg.method!r} has no per-layer multiplier")
+    select = STRATEGIES[cfg.method].select
     t0 = time.perf_counter()
     l = net.depth
     n0 = net.dims[0]
@@ -225,7 +216,7 @@ def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
             G = gamma_matrix(net.weights[k], L)
             if not np.all(np.isfinite(G)):
                 raise DefinitenessLost(k + 1)
-            lam, stat = _select_multiplier(G, cfg)
+            lam, stat = select(G, cfg)
             M = np.diag(2.0 * lam) - (lam[:, None] * G) * lam[None, :]
         M = 0.5 * (M + M.T)
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(M))):
@@ -328,25 +319,27 @@ def sweep_c(
     theta: float = 0.5,
     certified: bool = False,
 ) -> BoundReport:
-    """Evaluate a method over a grid of c values; return the best report.
+    """Evaluate a method over a sweep; return the best report.
 
-    Infeasible grid points (DefinitenessLost) are skipped and recorded in
-    the winning report's ``sweep`` field.  Raises AllInfeasible if every
+    ``grid`` lists c values (a sequence or a {'lo','hi','step'} mapping),
+    each run at ``theta``; without it the method's default sweep of (c,
+    theta) points from ``STRATEGIES`` runs.  The first of equal bounds
+    wins.  Every point is recorded in the winning report's ``sweep`` field,
+    with ``theta`` when the method's default sweep varies it; infeasible
+    points (DefinitenessLost) are skipped.  Raises AllInfeasible if every
     point fails.
     """
-    if method not in ("sn", "gc", "gcs", "shift", "interp"):
+    strategy = STRATEGIES.get(method)
+    if strategy is None or not strategy.grid:
         raise ValueError(f"method {method!r} takes no c sweep")
-    cs = expand_grid(grid) if grid is not None else list(DEFAULT_GRIDS[method])
+    points = strategy.grid if grid is None else [(c, theta) for c in expand_grid(grid)]
+    configs = [
+        StrategyConfig(method, c=c, d_tilde=d_tilde, epsilon_q=epsilon_q,
+                       theta=t, certified=certified)
+        for c, t in points
+    ]
 
-    def one(c: float):
-        cfg = StrategyConfig(
-            method,
-            c=c,
-            d_tilde=d_tilde,
-            epsilon_q=epsilon_q,
-            theta=theta,
-            certified=certified,
-        )
+    def one(cfg: StrategyConfig):
         try:
             return run_recursion(net, cfg)
         except DefinitenessLost as exc:
@@ -354,23 +347,22 @@ def sweep_c(
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, cs))
+            results = list(pool.map(one, configs))
     else:
-        results = [one(c) for c in cs]
+        results = [one(cfg) for cfg in configs]
 
-    best = None
-    trace = []
-    skipped = []
-    for c, res in zip(cs, results):
-        if isinstance(res, DefinitenessLost):
-            skipped.append(c)
-            trace.append({"c": c, "bound": None})
-            continue
-        trace.append({"c": c, "bound": res.bound})
-        if best is None or res.bound < best.bound:
-            best = res
-    if best is None:
-        raise AllInfeasible(f"all {len(cs)} grid points infeasible for {method!r}")
+    with_theta = len({t for _, t in strategy.grid}) > 1
+    trace, skipped = [], []
+    for cfg, res in zip(configs, results):
+        point = {"c": cfg.c, "theta": cfg.theta} if with_theta else {"c": cfg.c}
+        lost = isinstance(res, DefinitenessLost)
+        if lost:
+            skipped.append([cfg.c, cfg.theta] if with_theta else cfg.c)
+        trace.append({**point, "bound": None if lost else res.bound})
+    feasible = [r for r in results if not isinstance(r, DefinitenessLost)]
+    if not feasible:
+        raise AllInfeasible(f"all {len(configs)} grid points infeasible for {method!r}")
+    best = min(feasible, key=lambda r: r.bound)
     best.sweep = {"method": method, "points": trace, "skipped": skipped}
     return best
 
@@ -378,54 +370,61 @@ def sweep_c(
 def best_of(
     net: Network,
     grids: dict | None = None,
-    include_interp: bool = True,
-    theta_grid=(0.25, 0.5, 0.75),
-    interp_c_grid=(0.5, 1.0, 1.5, 1.9),
     jobs: int = 1,
     d_tilde: float = 1.0,
     certified: bool = False,
 ) -> BoundReport:
-    """Best bound over all methods; ties break by fixed method order."""
+    """Best bound of product and every strategy, swept where it has a grid.
+
+    ``grids`` may map a method to the c values that replace its default
+    sweep.  Ties go to the first method in ``METHODS`` order.
+    """
     grids = grids or {}
-    candidates = [
-        product_bound(net, certified=certified),
-        run_recursion(net, StrategyConfig("fast", d_tilde=d_tilde, certified=certified)),
-    ]
-    for method in ("sn", "gc", "gcs", "shift"):
+    candidates = [product_bound(net, certified=certified)]
+    for method, strategy in STRATEGIES.items():
+        if not strategy.grid:
+            cfg = StrategyConfig(method, d_tilde=d_tilde, certified=certified)
+            candidates.append(run_recursion(net, cfg))
+            continue
         try:
-            candidates.append(
-                sweep_c(
-                    net,
-                    method,
-                    grid=grids.get(method),
-                    jobs=jobs,
-                    d_tilde=d_tilde,
-                    certified=certified,
-                )
-            )
+            candidates.append(sweep_c(net, method, grids.get(method), jobs=jobs,
+                                      d_tilde=d_tilde, certified=certified))
         except AllInfeasible:
             pass
-    if include_interp:
-        best_interp = None
-        for theta in theta_grid:
-            for c in grids.get("interp", interp_c_grid):
-                cfg = StrategyConfig(
-                    "interp", c=c, theta=theta, d_tilde=d_tilde, certified=certified
-                )
-                try:
-                    rep = run_recursion(net, cfg)
-                except DefinitenessLost:
-                    continue
-                if best_interp is None or rep.bound < best_interp.bound:
-                    best_interp = rep
-        if best_interp is not None:
-            candidates.append(best_interp)
-    candidates.sort(key=lambda r: METHOD_ORDER[r.method])
-    best = candidates[0]
-    for rep in candidates[1:]:
-        if rep.bound < best.bound:
-            best = rep
-    return best
+    return min(candidates, key=lambda r: r.bound)
+
+
+def evaluate(
+    net: Network,
+    method: str,
+    c: float | None = None,
+    grid=None,
+    jobs: int = 1,
+    theta: float = 0.5,
+    d_tilde: float = 1.0,
+    certified: bool = False,
+) -> BoundReport:
+    """One bound by method name, as the CLI computes it.
+
+    ``best`` runs ``best_of`` and ``product`` the product bound.  A method
+    that takes no c runs once, as does any method given a fixed ``c``;
+    otherwise the method sweeps ``grid``, or its default sweep.
+    """
+    if method == "best":
+        return best_of(net, jobs=jobs, d_tilde=d_tilde, certified=certified)
+    if method == "product":
+        return product_bound(net, certified=certified)
+    if method not in STRATEGIES:
+        raise ValueError(f"unknown method {method!r}")
+    if STRATEGIES[method].c_range is None:
+        cfg = StrategyConfig(method, d_tilde=d_tilde, certified=certified)
+    elif c is None:
+        return sweep_c(net, method, grid, jobs=jobs, d_tilde=d_tilde,
+                       theta=theta, certified=certified)
+    else:
+        cfg = StrategyConfig(method, c=c, theta=theta, d_tilde=d_tilde,
+                             certified=certified)
+    return run_recursion(net, cfg)
 
 
 def report_to_dict(report: BoundReport) -> dict:

@@ -24,17 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .bounds import (
-    METHODS,
-    StrategyConfig,
-    best_of,
-    expand_grid,
-    product_bound,
-    report_from_dict,
-    report_to_dict,
-    run_recursion,
-    sweep_c,
-)
+from .bounds import METHODS, evaluate, report_from_dict, report_to_dict
 from .certify import (
     DEFAULT_DIM_CAP,
     DEFAULT_RADIUS,
@@ -58,8 +48,6 @@ EXIT_IO = 3
 EXIT_DEFINITENESS = 4
 EXIT_INFEASIBLE = 5
 EXIT_VALIDATION = 6
-
-_BENCH_DEFAULT_C = {"sn": 1.0, "gc": 1.0, "gcs": 1.0, "shift": 2.0}
 
 
 def _manifest(command: str, args: argparse.Namespace) -> dict:
@@ -123,8 +111,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--activation", default="tanh", choices=("relu", "tanh", "sigmoid"))
     bench.add_argument("--certified", action="store_true")
     bench.add_argument("--jobs", type=int, default=1)
-    for m, c in _BENCH_DEFAULT_C.items():
-        bench.add_argument(f"--c-{m}", type=float, default=c, dest=f"c_{m}")
+    # the fixed c of each bench run; methods without a flag run at c = 1
+    for m in ("sn", "gc", "gcs"):
+        bench.add_argument(f"--c-{m}", type=float, default=1.0, dest=f"c_{m}")
+    bench.add_argument("--c-shift", type=float, default=2.0, dest="c_shift")
     bench.add_argument("--o", dest="output", default="bench.csv")
     return parser
 
@@ -148,32 +138,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     net = load_network(args.net)
+    grid = None
+    if args.sweep is not None:
+        lo, hi, step = (float(v) for v in args.sweep.split(":"))
+        grid = {"lo": lo, "hi": hi, "step": step}
     t0 = time.perf_counter()
-    if args.method == "best":
-        report = best_of(net, jobs=args.jobs, d_tilde=args.d_tilde,
-                         certified=args.certified)
-    elif args.method == "product":
-        report = product_bound(net, certified=args.certified)
-    elif args.method == "fast":
-        report = run_recursion(
-            net, StrategyConfig("fast", d_tilde=args.d_tilde,
-                                certified=args.certified)
-        )
-    elif args.c is not None:
-        cfg = StrategyConfig(
-            args.method, c=args.c, theta=args.theta, d_tilde=args.d_tilde,
-            certified=args.certified,
-        )
-        report = run_recursion(net, cfg)
-    else:
-        grid = None
-        if args.sweep is not None:
-            lo, hi, step = (float(v) for v in args.sweep.split(":"))
-            grid = expand_grid({"lo": lo, "hi": hi, "step": step})
-        report = sweep_c(
-            net, args.method, grid=grid, jobs=args.jobs, theta=args.theta,
-            d_tilde=args.d_tilde, certified=args.certified,
-        )
+    report = evaluate(
+        net, args.method, args.c, grid, jobs=args.jobs, theta=args.theta,
+        d_tilde=args.d_tilde, certified=args.certified,
+    )
     elapsed = time.perf_counter() - t0
     payload = report_to_dict(report)
     payload["manifest"] = _manifest("compute", args)
@@ -233,12 +206,8 @@ def _bench_one(task: tuple, args: argparse.Namespace) -> dict:
         net = generate_random(depth, width, width, width, seed,
                               activation=args.activation)
         t0 = time.perf_counter()
-        if method == "product":
-            report = product_bound(net, certified=args.certified)
-        else:
-            c = getattr(args, f"c_{method}", 1.0)
-            cfg = StrategyConfig(method, c=c, certified=args.certified)
-            report = run_recursion(net, cfg)
+        report = evaluate(net, method, getattr(args, f"c_{method}", 1.0),
+                          certified=args.certified)
         row["seconds"] = f"{time.perf_counter() - t0:.6f}"
         row["bound"] = f"{report.bound:.12g}"
         row["c"] = "" if method == "product" else f"{report.config.c:g}"

@@ -138,12 +138,6 @@ def scaled_row_sums(G: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (np.abs(G) * q[None, :]).sum(axis=1) / q
 
 
-def default_shift(S: np.ndarray) -> float:
-    """Default PSD-check shift: 1e-8 * (1 + max |diag S|)."""
-    d = np.abs(np.diag(S))
-    return 1e-8 * (1.0 + (float(d.max()) if d.size else 0.0))
-
-
 def shifted_cholesky_report(S: np.ndarray, shift: float) -> tuple[bool, float]:
     """Attempt Cholesky of S + shift*I; report verdict and a pivot estimate.
 
@@ -170,15 +164,6 @@ def shifted_cholesky_report(S: np.ndarray, shift: float) -> tuple[bool, float]:
     diag = np.diag(S)
     off = row_abs_sums(S) - np.abs(diag)
     return False, float(np.min(diag - off))
-
-
-def psd_check(S: np.ndarray, shift: float | None = None) -> bool:
-    """True iff S + shift*I admits a Cholesky factorization."""
-    S = np.asarray(S, dtype=np.float64)
-    if shift is None:
-        shift = default_shift(S)
-    ok, _ = shifted_cholesky_report(S, shift)
-    return ok
 
 
 def spectral_upper_bound(G: np.ndarray) -> float:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from lipbound.bounds import (
+    METHODS,
+    STRATEGIES,
     StrategyConfig,
     best_of,
     expand_grid,
@@ -14,11 +16,6 @@ from lipbound.bounds import (
     report_from_dict,
     report_to_dict,
     run_recursion,
-    strategy_gc,
-    strategy_gcs,
-    strategy_interp,
-    strategy_shift,
-    strategy_sn,
     sweep_c,
 )
 from lipbound.errors import AllInfeasible
@@ -32,6 +29,12 @@ def scalar_net():
 def sn_closed_form(c):
     """Hand recursion on the scalar oracle: gamma = 36 / (c (2 - c))."""
     return math.sqrt(36.0 / (c * (2.0 - c)))
+
+
+def select(method, G, **kwargs):
+    """The Lambda that a strategy's rule picks for G."""
+    lam, _ = STRATEGIES[method].select(np.asarray(G), StrategyConfig(method, **kwargs))
+    return lam
 
 
 class TestStrategyConfig:
@@ -55,76 +58,106 @@ class TestStrategyConfig:
             StrategyConfig("magic")
 
 
+class TestStrategyTable:
+    @pytest.mark.parametrize("method", list(STRATEGIES))
+    def test_c_range_edges_rejected(self, method):
+        c_range = STRATEGIES[method].c_range
+        if c_range is None:
+            StrategyConfig(method, c=-5.0)  # the rule takes no c
+            return
+        for c in c_range:
+            with pytest.raises(ValueError):
+                StrategyConfig(method, c=c)
+
+    @pytest.mark.parametrize("method", list(STRATEGIES))
+    def test_default_grid_inside_range(self, method):
+        strategy = STRATEGIES[method]
+        assert bool(strategy.grid) == (strategy.c_range is not None)
+        for c, theta in strategy.grid:
+            cfg = StrategyConfig(method, c=c, theta=theta)
+            assert strategy.c_range[0] < cfg.c < strategy.c_range[1]
+
+    def test_interp_grid_order(self):
+        # theta-major, then c
+        assert STRATEGIES["interp"].grid == tuple(
+            (c, t) for t in (0.25, 0.5, 0.75) for c in (0.5, 1.0, 1.5, 1.9)
+        )
+
+
 class TestStrategies:
     def test_sn_scalar(self):
-        np.testing.assert_allclose(strategy_sn(np.array([[4.0]]), 1.0), [0.25])
-        np.testing.assert_allclose(strategy_sn(np.array([[4.0]]), 1.3), [0.325])
+        np.testing.assert_allclose(select("sn", [[4.0]], c=1.0), [0.25])
+        np.testing.assert_allclose(select("sn", [[4.0]], c=1.3), [0.325])
 
     def test_sn_zero_matrix_falls_back(self):
         np.testing.assert_array_equal(
-            strategy_sn(np.zeros((2, 2)), 1.0, d_tilde=0.7), [0.7, 0.7]
+            select("sn", np.zeros((2, 2)), c=1.0, d_tilde=0.7), [0.7, 0.7]
         )
+
+    def test_fast_ignores_c(self):
+        G = np.array([[2.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(select("fast", G, c=1.7), select("sn", G, c=1.0))
 
     def test_gc_row_sums(self):
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(strategy_gc(G, 1.0), [1 / 3, 1 / 3])
+        np.testing.assert_allclose(select("gc", G, c=1.0), [1 / 3, 1 / 3])
 
     def test_gc_zero_row_uses_d_tilde(self):
         G = np.array([[1.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_allclose(strategy_gc(G, 1.0, d_tilde=2.0), [1.0, 2.0])
+        np.testing.assert_allclose(select("gc", G, c=1.0, d_tilde=2.0), [1.0, 2.0])
 
     def test_gc_near_edge(self):
-        np.testing.assert_allclose(strategy_gc(np.array([[4.0]]), 1.99), [0.4975])
+        np.testing.assert_allclose(select("gc", [[4.0]], c=1.99), [0.4975])
 
     def test_gcs_equal_diagonals_match_gc(self):
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(strategy_gcs(G, 1.0), strategy_gc(G, 1.0))
+        np.testing.assert_allclose(select("gcs", G, c=1.0), select("gc", G, c=1.0))
 
     def test_gcs_diagonal_matches_gc(self):
         G = np.diag([3.0, 7.0])
-        np.testing.assert_allclose(strategy_gcs(G, 1.5), strategy_gc(G, 1.5))
+        np.testing.assert_allclose(select("gcs", G, c=1.5), select("gc", G, c=1.5))
 
     def test_gcs_hand_case(self):
         # q = (4, 1): scaled row sums ((4*4 + 1*2)/4, (4*2 + 1*1)/1) = (4.5, 9)
         G = np.array([[4.0, 2.0], [2.0, 1.0]])
-        np.testing.assert_allclose(strategy_gcs(G, 1.0), [1 / 4.5, 1 / 9.0])
+        np.testing.assert_allclose(select("gcs", G, c=1.0), [1 / 4.5, 1 / 9.0])
 
     def test_shift_hand_case(self):
         # T = I, remainder [[0, .5], [.5, 0]], s = 0.5
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(strategy_shift(G, 2.0), [0.5, 0.5])
+        np.testing.assert_allclose(select("shift", G, c=2.0), [0.5, 0.5])
 
     def test_shift_negative_eigenvalue_dominates(self):
         # remainder R = (I - ones)/2 has eigenvalues {-1, 0.5, 0.5}: its
         # norm is |lambda_min| = 1, so Lambda = 1 / (1 + 2 * 1)
         G = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-        np.testing.assert_allclose(strategy_shift(G, 2.0), [1 / 3] * 3, rtol=1e-14)
+        np.testing.assert_allclose(select("shift", G, c=2.0), [1 / 3] * 3, rtol=1e-14)
 
     def test_shift_degenerate_scalar(self):
-        lam = strategy_shift(np.array([[4.0]]), 1.5)[0]
+        lam = select("shift", [[4.0]], c=1.5)[0]
         eta = 1e-9 * (1.0 + 2.0)
         np.testing.assert_allclose(lam, 1.0 / (2.0 + eta))
 
     def test_shift_zero_matrix(self):
-        lam = strategy_shift(np.zeros((2, 2)), 2.0)
+        lam = select("shift", np.zeros((2, 2)), c=2.0)
         np.testing.assert_allclose(lam, [1e9, 1e9])
 
     def test_interp_endpoints_bit_exact(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((4, 4))
         G = A @ A.T
-        cfg = StrategyConfig("interp", c=1.3, theta=0.0)
         np.testing.assert_array_equal(
-            strategy_interp(G, 1.0, cfg), strategy_sn(G, 1.3)
+            select("interp", G, c=1.3, theta=1.0), select("sn", G, c=1.3)
         )
         np.testing.assert_array_equal(
-            strategy_interp(G, 0.0, cfg), strategy_gc(G, 1.3)
+            select("interp", G, c=1.3, theta=0.0), select("gc", G, c=1.3)
         )
 
     def test_interp_coinciding_endpoints(self):
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        cfg = StrategyConfig("interp", c=1.0, theta=0.5)
-        np.testing.assert_allclose(strategy_interp(G, 0.5, cfg), [1 / 3, 1 / 3])
+        np.testing.assert_allclose(
+            select("interp", G, c=1.0, theta=0.5), [1 / 3, 1 / 3]
+        )
 
 
 class TestProductBound:
@@ -277,6 +310,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_c(scalar_net(), "product")
 
+    def test_theta_recorded_only_where_swept(self):
+        sn = sweep_c(scalar_net(), "sn", grid=[0.5, 1.0])
+        assert [sorted(p) for p in sn.sweep["points"]] == [["bound", "c"]] * 2
+        interp = sweep_c(scalar_net(), "interp", grid=[0.5, 1.0], theta=0.25)
+        assert [(p["c"], p["theta"]) for p in interp.sweep["points"]] == [
+            (0.5, 0.25), (1.0, 0.25)
+        ]
+
 
 class TestBestOf:
     def test_scalar_oracle_winner_by_tie_order(self):
@@ -293,6 +334,22 @@ class TestBestOf:
             fast = run_recursion(net, StrategyConfig("fast")).bound
             prod = product_bound(net).bound
             assert best <= min(fast, prod) * (1.0 + 1e-12)
+
+    def test_parallel_matches_serial(self):
+        net = generate_random(3, 8, 8, 3, seed=5)
+        serial, parallel = best_of(net), best_of(net, jobs=2)
+        assert report_to_dict(serial)["config"] == report_to_dict(parallel)["config"]
+        assert (serial.method, serial.bound) == (parallel.method, parallel.bound)
+        assert serial.sweep == parallel.sweep
+
+    def test_default_grid_winner_pinned(self):
+        # the winner on this net is an interior interp point; pinned bit for
+        # bit to the values of the per-method implementation it replaced
+        report = best_of(generate_random(3, 8, 8, 3, seed=5))
+        assert report.method == "interp"
+        assert (report.config.c, report.config.theta) == (1.5, 0.25)
+        assert report.bound == 2.350587664095569
+        assert len(report.sweep["points"]) == 12
 
 
 class TestReportSerialization:

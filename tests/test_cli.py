@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from lipbound.cli import main
+from lipbound.bounds import METHODS
+from lipbound.cli import _build_parser, main
 from lipbound.network import Network, load_network, save_network
 
 
@@ -16,6 +17,11 @@ def oracle_path(tmp_path):
     path = tmp_path / "oracle.json"
     save_network(net, path)
     return path
+
+
+def _subparser(name):
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return sub.choices[name]
 
 
 class TestGen:
@@ -95,6 +101,24 @@ class TestCompute:
                      "--sweep", "0.5:1.5:0.5", "--o", str(report_path)]) == 0
         payload = json.loads(report_path.read_text())
         assert payload["config"]["c"] == 1.0
+
+    def test_interp_default_sweep(self, oracle_path, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        assert main(["compute", "--net", str(oracle_path), "--method", "interp",
+                     "--o", str(report_path)]) == 0
+        payload = json.loads(report_path.read_text())
+        points = payload["sweep"]["points"]
+        assert len(points) == 12
+        assert all(sorted(p) == ["bound", "c", "theta"] for p in points)
+        winner = {"c": payload["config"]["c"], "theta": payload["config"]["theta"],
+                  "bound": payload["bound"]}
+        assert winner in points
+        assert "method=interp" in capsys.readouterr().out
+
+    def test_method_choices_follow_the_table(self):
+        comp = _subparser("compute")
+        method = next(a for a in comp._actions if a.dest == "method")
+        assert tuple(method.choices) == METHODS + ("best",)
 
     def test_missing_network_exit_3(self, tmp_path):
         assert main(["compute", "--net", str(tmp_path / "nope.json"),
@@ -194,6 +218,11 @@ class TestBench:
         with open(parallel, newline="") as fh:
             p_rows = list(csv.DictReader(fh))
         assert [r["bound"] for r in s_rows] == [r["bound"] for r in p_rows]
+
+    def test_c_flags_and_defaults(self):
+        args = _subparser("bench").parse_args(["--depths", "2", "--widths", "3"])
+        fixed_c = {k: v for k, v in vars(args).items() if k.startswith("c_")}
+        assert fixed_c == {"c_sn": 1.0, "c_gc": 1.0, "c_gcs": 1.0, "c_shift": 2.0}
 
     def test_bad_method_exit_2(self, tmp_path):
         assert main(["bench", "--depths", "2", "--widths", "3",

@@ -11,11 +11,10 @@ from lipbound.errors import (
 )
 from lipbound.linalg import (
     cholesky,
-    default_shift,
     gamma_matrix,
-    psd_check,
     row_abs_sums,
     scaled_row_sums,
+    shifted_cholesky_report,
     spectral_norm,
     spectral_upper_bound,
     top_eigenvalue,
@@ -89,7 +88,8 @@ class TestGammaMatrix:
             L = cholesky(random_spd(rng, int(n)))
             G = gamma_matrix(W, L)
             np.testing.assert_array_equal(G, G.T)
-            assert psd_check(G)
+            ok, _ = shifted_cholesky_report(G, 1e-12 * (1.0 + np.abs(G).max()))
+            assert ok
 
 
 class TestTopEigenvalue:
@@ -168,18 +168,17 @@ class TestRowSums:
 
 class TestPsdCheck:
     def test_identity_no_shift(self):
-        assert psd_check(np.eye(3), shift=0.0)
+        assert shifted_cholesky_report(np.eye(3), 0.0) == (True, 1.0)
 
-    def test_singular_psd_passes_default_shift(self):
-        # det = 9 - 9 = 0: exactly singular PSD
-        assert psd_check(np.array([[0.25, -3.0], [-3.0, 36.0]]))
+    def test_singular_psd_passes_small_shift(self):
+        # det = 9 - 9 = 0: exactly singular PSD, factored once shifted
+        S = np.array([[0.25, -3.0], [-3.0, 36.0]])
+        assert shifted_cholesky_report(S, 1e-9)[0]
 
     def test_indefinite_fails(self):
-        # eigenvalues {3, -1}
-        assert not psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_default_shift_scaling(self):
-        assert default_shift(np.diag([0.0, 99.0])) == 1e-8 * 100.0
+        # eigenvalues {3, -1}; the Gershgorin estimate is 1 - 2
+        S = np.array([[1.0, 2.0], [2.0, 1.0]])
+        assert shifted_cholesky_report(S, 1e-9) == (False, -1.0)
 
 
 class TestSpectralUpperBound:
