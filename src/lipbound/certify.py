@@ -1,24 +1,23 @@
 """Independent verification of computed bounds.
 
-Two routes: (a) assemble the full block-tridiagonal feasibility matrix for
-a multiplier sequence, scale it to a unit diagonal and check positive
-semidefiniteness by shifted Cholesky, and (b) sample empirical Jacobian
-spectral norms, which lower bound the true Lipschitz constant.  A correct
-bound must sit between the empirical maximum and feasibility (the sandwich
-property).
+Two routes: (a) check that a multiplier sequence makes the block-tridiagonal
+feasibility matrix positive semidefinite, by a shifted block Cholesky of its
+unit-diagonal scaling, and (b) sample empirical Jacobian spectral norms,
+which lower bound the true Lipschitz constant.  A correct bound must sit
+between the empirical maximum and feasibility (the sandwich property).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapExceeded, DimensionMismatch, ValidationFailed
-from .linalg import shifted_cholesky_report
+from .errors import DimensionMismatch, NotPositiveDefinite, ValidationFailed
+from .linalg import cholesky, gamma_matrix, row_abs_sums
 from .network import Network, jacobian_sigma
 
-DEFAULT_DIM_CAP = 2000
 DEFAULT_RADIUS = 10.0
 
 # Relative slack on the margin and the bound/gamma consistency check; the
@@ -36,6 +35,8 @@ class LmiCertificate:
     shift_used: float
     psd: bool
     min_pivot_estimate: float
+    # block whose factorization failed: k for Lambda_k, depth + 1 for gamma
+    failed_block: int | None = None
 
 
 @dataclass
@@ -44,7 +45,23 @@ class ValidationReport:
     empirical_lower: float
     samples: int
     margin: float
-    lmi: LmiCertificate | None = None
+    lmi: LmiCertificate
+
+
+def _checked_lambdas(net: Network, ms) -> list:
+    """The multipliers as float arrays, checked against the layer widths."""
+    dims = net.dims
+    if len(ms.lambdas) != net.depth:
+        raise DimensionMismatch(
+            f"expected {net.depth} multipliers, got {len(ms.lambdas)}"
+        )
+    lambdas = [np.asarray(lam, dtype=np.float64) for lam in ms.lambdas]
+    for k, lam in enumerate(lambdas):
+        if lam.shape != (dims[k + 1],):
+            raise DimensionMismatch(
+                f"multiplier {k + 1} has shape {lam.shape}, expected ({dims[k + 1]},)"
+            )
+    return lambdas
 
 
 def assemble_lipsdp(net: Network, ms) -> np.ndarray:
@@ -52,18 +69,12 @@ def assemble_lipsdp(net: Network, ms) -> np.ndarray:
 
     Diagonal blocks I(n0), 2*Lambda_1, ..., 2*Lambda_l, gamma*I; the
     sub/super-diagonals couple consecutive blocks through -Lambda_k W_k
-    and -W_{l+1}.  Exactly symmetric by construction.
+    and -W_{l+1}.  Exactly symmetric by construction.  Dense, so it serves
+    as the small-case oracle; verify_feasibility never forms it.
     """
     dims = net.dims
     l = net.depth
-    if len(ms.lambdas) != l:
-        raise DimensionMismatch(
-            f"expected {l} multipliers, got {len(ms.lambdas)}"
-        )
-    lambdas = [np.asarray(lam, dtype=np.float64) for lam in ms.lambdas]
-    for k, lam in enumerate(lambdas):
-        if lam.shape != (dims[k + 1],):
-            raise DimensionMismatch(f"multiplier {k + 1} has wrong dimension")
+    lambdas = _checked_lambdas(net, ms)
     total = sum(dims)
     S = np.zeros((total, total))
     offsets = np.concatenate(([0], np.cumsum(dims)))
@@ -85,9 +96,7 @@ def assemble_lipsdp(net: Network, ms) -> np.ndarray:
     return S
 
 
-def verify_feasibility(
-    net: Network, ms, dim_cap: int = DEFAULT_DIM_CAP
-) -> LmiCertificate:
+def verify_feasibility(net: Network, ms) -> LmiCertificate:
     """Shifted-Cholesky PSD verdict for the Jacobi-scaled feasibility matrix.
 
     The check factors D^-1/2 S D^-1/2 + shift*I with D = diag(S); entries
@@ -96,25 +105,45 @@ def verify_feasibility(
     small against gamma and against multipliers many orders of magnitude
     below it.  The shift absorbs the rounding of multiplier sequences that
     sit exactly on the PSD boundary, as the recursion's often do.
+
+    S is block-tridiagonal, so its factor is block-bidiagonal and the
+    factorization runs one block at a time, never forming S: with
+    s_k = d_k^-1/2 and the coupling B_k = s_k (Lambda_k W_k) s_{k-1}
+    (W_{l+1} for the output block), block k factors the Schur complement
+    diag(d_k s_k^2) + shift*I - B_k (L_{k-1} L_{k-1}^T)^-1 B_k^T, the
+    recursion's M_k in scaled form.  That costs O(sum n_k^3).  The first
+    block that is not finite or fails to factor makes the verdict; its
+    Gershgorin bound is then the pivot estimate.
     """
+    lambdas = _checked_lambdas(net, ms)
+    shift = _FEASIBILITY_SHIFT
     total = sum(net.dims)
-    if total > dim_cap:
-        raise DimensionCapExceeded(
-            f"total dimension {total} exceeds cap {dim_cap}"
-        )
-    S = assemble_lipsdp(net, ms)
-    d = np.diag(S)
-    scale = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
-    # in place: S is a fresh (sum n_k)^2 array, 32 MB at depth 30, width 64
-    S *= scale[:, None]
-    S *= scale[None, :]
-    psd, min_pivot = shifted_cholesky_report(S, _FEASIBILITY_SHIFT)
-    return LmiCertificate(
-        dimension=total,
-        shift_used=_FEASIBILITY_SHIFT,
-        psd=psd,
-        min_pivot_estimate=min_pivot,
-    )
+    l = net.depth
+    diags = [2.0 * lam for lam in lambdas]
+    diags.append(np.full(net.dims[l + 1], float(ms.gamma)))
+    s_prev = np.ones(net.dims[0])
+    L = math.sqrt(1.0 + shift) * np.eye(net.dims[0])
+    min_pivot = 1.0 + shift
+    for k, d in enumerate(diags, start=1):
+        s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+        coupling = net.weights[k - 1]
+        if k <= l:
+            coupling = lambdas[k - 1][:, None] * coupling
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = (s[:, None] * coupling) * s_prev[None, :]
+            M = (np.diag(d * s * s + shift) - gamma_matrix(B, L)
+                 if np.all(np.isfinite(B)) else None)
+        if M is None or not np.all(np.isfinite(M)):
+            return LmiCertificate(total, shift, False, math.nan, k)
+        try:
+            L = cholesky(M)
+        except NotPositiveDefinite:
+            m = np.diag(M)
+            gershgorin = float(np.min(m - (row_abs_sums(M) - np.abs(m))))
+            return LmiCertificate(total, shift, False, gershgorin - shift, k)
+        min_pivot = min(min_pivot, float(np.diag(L).min()) ** 2)
+        s_prev = s
+    return LmiCertificate(total, shift, True, min_pivot - shift)
 
 
 def empirical_lower_bound(
@@ -151,32 +180,38 @@ def validate(
     n_samples: int = 200,
     seed: int = 0,
     radius: float = DEFAULT_RADIUS,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> ValidationReport:
     """Full independent check of a bound report.
 
-    Fails hard (ValidationFailed) if the empirical lower bound exceeds the
-    reported bound, if the reported bound is inconsistent with its gamma,
-    or if the feasibility matrix is not PSD.  The feasibility check is
-    skipped when the total dimension exceeds dim_cap; the empirical check
-    always runs.
+    Raises DimensionMismatch if the multipliers do not fit the network.
+    Fails hard (ValidationFailed) if the bound, gamma or a multiplier is
+    not finite, if the reported bound is inconsistent with its gamma, if
+    the feasibility matrix is not PSD, or if the empirical lower bound
+    exceeds the reported bound.
     """
     bound = float(report.bound)
     ms = report.multipliers
+    lambdas = _checked_lambdas(net, ms)
+    if not (math.isfinite(bound) and math.isfinite(ms.gamma)):
+        raise ValidationFailed(f"non-finite bound {bound} or gamma {ms.gamma}")
+    for k, lam in enumerate(lambdas, start=1):
+        if not np.all(np.isfinite(lam)):
+            raise ValidationFailed(f"non-finite multiplier in layer {k}")
     if abs(bound * bound - ms.gamma) > _GAMMA_RTOL * (1.0 + abs(ms.gamma)):
         raise ValidationFailed(
             f"bound {bound} inconsistent with gamma {ms.gamma}"
         )
+    lmi = verify_feasibility(net, ms)
+    if not lmi.psd:
+        where = (
+            "output" if lmi.failed_block > net.depth else f"layer {lmi.failed_block}"
+        )
+        raise ValidationFailed(
+            f"feasibility matrix not PSD at {where} (min pivot estimate "
+            f"{lmi.min_pivot_estimate:.3e})"
+        )
     lower = empirical_lower_bound(net, n_samples, radius=radius, seed=seed)
     margin = bound - lower
-    lmi = None
-    if sum(net.dims) <= dim_cap:
-        lmi = verify_feasibility(net, ms, dim_cap=dim_cap)
-        if not lmi.psd:
-            raise ValidationFailed(
-                f"feasibility matrix not PSD (min pivot estimate "
-                f"{lmi.min_pivot_estimate:.3e})"
-            )
     if margin < -_MARGIN_RTOL * (1.0 + abs(bound)):
         raise ValidationFailed(
             f"empirical lower bound {lower} exceeds reported bound {bound}"

@@ -7,9 +7,10 @@ Subcommands:
 - ``verify``   independently check a report against its network
 - ``bench``    sweep depth/width/seed grids and emit a CSV
 
-Exit codes: 0 success, 2 invalid arguments or unreadable input format,
-3 I/O failure, 4 definiteness lost without a sweep fallback,
-5 all sweep points infeasible, 6 validation failed.
+Exit codes: 0 success, 2 invalid arguments, unreadable input format or a
+report that does not fit its network, 3 I/O failure, 4 definiteness lost
+without a sweep fallback, 5 all sweep points infeasible, 6 validation
+failed.
 """
 
 from __future__ import annotations
@@ -25,17 +26,12 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import METHODS, evaluate, report_from_dict, report_to_dict
-from .certify import (
-    DEFAULT_DIM_CAP,
-    DEFAULT_RADIUS,
-    validate,
-    verify_feasibility,
-)
+from .certify import DEFAULT_RADIUS, validate
 from .errors import (
     AllInfeasible,
     DefinitenessLost,
-    DimensionCapExceeded,
     DimensionChainError,
+    DimensionMismatch,
     LipboundError,
     ParseError,
     ValidationFailed,
@@ -95,9 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--samples", type=int, default=200)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
-    ver.add_argument("--lmi", action="store_true",
-                     help="force the feasibility check even past the size cap")
-    ver.add_argument("--lmi-cap", type=int, default=DEFAULT_DIM_CAP)
     ver.add_argument("--o", dest="output", default=None)
 
     bench = sub.add_parser("bench", help="benchmark bound methods over a grid")
@@ -152,8 +145,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     payload["manifest"] = _manifest("compute", args)
     if args.output:
         Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
+    theta = f"theta={report.config.theta:g} " if report.method == "interp" else ""
     print(
-        f"method={report.method} c={report.config.c:g} "
+        f"method={report.method} c={report.config.c:g} {theta}"
         f"bound={report.bound:.12g} time={elapsed:.3f}s"
     )
     return EXIT_OK
@@ -164,20 +158,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = json.loads(Path(args.report).read_text())
     report = report_from_dict(payload)
     vr = validate(
-        net, report, n_samples=args.samples, seed=args.seed,
-        radius=args.radius, dim_cap=args.lmi_cap,
+        net, report, n_samples=args.samples, seed=args.seed, radius=args.radius
     )
-    if args.lmi and vr.lmi is None:
-        try:
-            vr.lmi = verify_feasibility(net, report.multipliers, dim_cap=args.lmi_cap)
-        except DimensionCapExceeded as exc:
-            print(f"feasibility check skipped: {exc}", file=sys.stderr)
     out = {
         "bound": vr.bound,
         "empirical_lower": vr.empirical_lower,
         "samples": vr.samples,
         "margin": vr.margin,
-        "lmi": None if vr.lmi is None else {
+        "lmi": {
             "dimension": vr.lmi.dimension,
             "shift_used": vr.lmi.shift_used,
             "psd": vr.lmi.psd,
@@ -187,10 +175,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     if args.output:
         Path(args.output).write_text(json.dumps(out, indent=2) + "\n")
-    psd_note = "n/a" if vr.lmi is None else str(vr.lmi.psd)
     print(
         f"bound={vr.bound:.12g} empirical={vr.empirical_lower:.12g} "
-        f"margin={vr.margin:.3e} psd={psd_note}"
+        f"margin={vr.margin:.3e} psd={vr.lmi.psd}"
     )
     return EXIT_OK
 
@@ -261,7 +248,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, DimensionChainError, ValueError) as exc:
+    except (ParseError, DimensionChainError, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -49,7 +49,3 @@ class AllInfeasible(LipboundError):
 
 class ValidationFailed(LipboundError):
     """A bound report failed independent verification."""
-
-
-class DimensionCapExceeded(LipboundError):
-    """The assembled feasibility matrix exceeds the configured size cap."""

@@ -138,34 +138,6 @@ def scaled_row_sums(G: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (np.abs(G) * q[None, :]).sum(axis=1) / q
 
 
-def shifted_cholesky_report(S: np.ndarray, shift: float) -> tuple[bool, float]:
-    """Attempt Cholesky of S + shift*I; report verdict and a pivot estimate.
-
-    On success the estimate is the smallest squared factor diagonal minus
-    the shift.  On failure it is the (cheap, deterministic) Gershgorin
-    lower bound on the smallest eigenvalue of S.
-    """
-    S = np.asarray(S, dtype=np.float64)
-    _require_square(S)
-    if shift < 0:
-        raise ValueError("shift must be non-negative")
-    n = S.shape[0]
-    if n == 0:
-        return True, 0.0
-    # a single n x n copy, factored in place (LAPACK overwrites Fortran-order
-    # arrays): the feasibility matrices this checks reach tens of MB
-    A = np.array(S, order="F")
-    A[np.diag_indices(n)] += shift
-    c, info = dpotrf(A, lower=1, clean=1, overwrite_a=1)
-    if info == 0:
-        d = np.diag(c)
-        return True, float(d.min()) ** 2 - shift
-    del A, c  # released before the Gershgorin pass allocates |S|
-    diag = np.diag(S)
-    off = row_abs_sums(S) - np.abs(diag)
-    return False, float(np.min(diag - off))
-
-
 def spectral_upper_bound(G: np.ndarray) -> float:
     """Rigorous upper bound on sigma_max of a symmetric matrix.
 

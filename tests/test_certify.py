@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lipbound import certify
 from lipbound.bounds import MultiplierSequence, StrategyConfig, run_recursion
 from lipbound.certify import (
     assemble_lipsdp,
@@ -10,12 +11,26 @@ from lipbound.certify import (
     validate,
     verify_feasibility,
 )
-from lipbound.errors import DimensionCapExceeded, DimensionMismatch, ValidationFailed
+from lipbound.errors import DimensionMismatch, ValidationFailed
 from lipbound.network import Network, generate_random
 
 
 def scalar_net(activation="tanh"):
     return Network((np.array([[2.0]]), np.array([[3.0]])), activation=activation)
+
+
+def scaled_dense(net, ms):
+    """The Jacobi-scaled dense LipSDP matrix, d_i <= 0 left unscaled."""
+    S = assemble_lipsdp(net, ms)
+    d = np.diag(S)
+    s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+    return S * s[:, None] * s[None, :]
+
+
+def tamper_lambda(ms, k, factor):
+    lambdas = [lam.copy() for lam in ms.lambdas]
+    lambdas[k - 1] *= factor
+    return MultiplierSequence(lambdas, ms.gamma)
 
 
 class TestAssemble:
@@ -78,13 +93,17 @@ class TestVerifyFeasibility:
             assert verify_feasibility(net, report.multipliers).psd, cfg.method
 
     def test_deep_shrunk_gamma_rejected(self):
-        # at depth 30 the Lambda blocks lie far below gamma on the diagonal
-        net = generate_random(30, 64, 64, 10, seed=0)
-        ms = run_recursion(net, StrategyConfig("gc", c=1.0)).multipliers
-        assert verify_feasibility(net, ms).psd
-        for factor in (0.99, 1.0 - 1e-6):
-            shrunk = MultiplierSequence(ms.lambdas, ms.gamma * factor)
-            assert not verify_feasibility(net, shrunk).psd, factor
+        # deep Lambda blocks lie far below gamma on the diagonal: down to
+        # 5e-19 at depth 30 and 8e-61 at depth 100
+        for depth in (30, 100):
+            net = generate_random(depth, 64, 64, 10, seed=0)
+            ms = run_recursion(net, StrategyConfig("gc", c=1.0)).multipliers
+            assert verify_feasibility(net, ms).psd
+            for factor in (0.99, 1.0 - 1e-6):
+                shrunk = MultiplierSequence(ms.lambdas, ms.gamma * factor)
+                cert = verify_feasibility(net, shrunk)
+                assert not cert.psd, (depth, factor)
+                assert cert.failed_block == depth + 1
 
     def test_zero_gamma_report_feasible(self):
         net = Network((np.array([[2.0]]), np.array([[0.0]])))
@@ -92,11 +111,66 @@ class TestVerifyFeasibility:
         assert report.multipliers.gamma == 0.0
         assert verify_feasibility(net, report.multipliers).psd
 
-    def test_dimension_cap(self):
-        net = generate_random(2, 10, 10, 10, seed=0)
-        with pytest.raises(DimensionCapExceeded):
-            verify_feasibility(net, MultiplierSequence(
-                [np.ones(10), np.ones(10)], 1.0), dim_cap=10)
+    def test_interior_lambda_tampering_fails_at_its_block(self):
+        net = generate_random(10, 16, 8, 4, seed=0)
+        ms = run_recursion(net, StrategyConfig("fast")).multipliers
+        for factor in (2.01, 3.0):
+            tampered = tamper_lambda(ms, 5, factor)
+            cert = verify_feasibility(net, tampered)
+            assert not cert.psd and cert.failed_block == 5
+            assert np.linalg.eigvalsh(scaled_dense(net, tampered))[0] < -0.01
+
+    def test_non_finite_block_rejected(self):
+        net = generate_random(3, 8, 6, 4, seed=1)
+        ms = run_recursion(net, StrategyConfig("fast")).multipliers
+        for value, k in ((np.nan, 2), (np.inf, 2), (-np.inf, 3)):
+            lambdas = [lam.copy() for lam in ms.lambdas]
+            lambdas[k - 1][0] = value
+            cert = verify_feasibility(net, MultiplierSequence(lambdas, ms.gamma))
+            assert not cert.psd and cert.failed_block == k
+        cert = verify_feasibility(net, MultiplierSequence(ms.lambdas, np.nan))
+        assert not cert.psd and cert.failed_block == 4
+
+
+class TestBlockCholeskyMatchesDense:
+    """The block factorization against the dense scaled matrix."""
+
+    CONFIGS = (
+        StrategyConfig("fast"),
+        StrategyConfig("gc", c=1.99),
+        StrategyConfig("gcs", c=1.0),
+        StrategyConfig("shift", c=1.7),
+        StrategyConfig("interp", c=1.5, theta=0.25),
+    )
+
+    def cases(self):
+        nets = [
+            scalar_net(),
+            Network((np.array([[1.0, 2.0]]),)),
+            generate_random(5, 15, 12, 8, seed=5),
+            generate_random(10, 16, 8, 4, seed=0),
+        ]
+        for net in nets:
+            for cfg in self.CONFIGS:
+                ms = run_recursion(net, cfg).multipliers
+                for factor in (1.0, 0.99):
+                    yield net, MultiplierSequence(ms.lambdas, ms.gamma * factor)
+                if net.depth >= 5:
+                    yield net, tamper_lambda(ms, 5, 2.01)
+
+    def test_verdict_and_min_pivot(self):
+        for net, ms in self.cases():
+            T = scaled_dense(net, ms)
+            cert = verify_feasibility(net, ms)
+            shift = cert.shift_used
+            assert cert.dimension == T.shape[0]
+            assert cert.psd == (np.linalg.eigvalsh(T)[0] > -shift)
+            if cert.psd:
+                L = np.linalg.cholesky(T + shift * np.eye(T.shape[0]))
+                dense_pivot = float(np.diag(L).min()) ** 2 - shift
+                np.testing.assert_allclose(
+                    cert.min_pivot_estimate, dense_pivot, rtol=1e-6, atol=1e-15
+                )
 
 
 class TestEmpiricalLowerBound:
@@ -143,9 +217,22 @@ class TestValidate:
         with pytest.raises(ValidationFailed):
             validate(net, report, n_samples=5, seed=0)
 
-    def test_lmi_skipped_above_cap(self):
-        net = generate_random(3, 8, 6, 4, seed=12)
+    def test_lmi_runs_past_2000_dimensions(self):
+        net = generate_random(20, 100, 100, 10, seed=12)
+        assert sum(net.dims) > 2000
         report = run_recursion(net, StrategyConfig("fast"))
-        vr = validate(net, report, n_samples=5, seed=0, dim_cap=5)
-        assert vr.lmi is None
+        vr = validate(net, report, n_samples=5, seed=0)
+        assert vr.lmi.psd and vr.lmi.dimension == sum(net.dims)
         assert vr.margin >= 0
+
+    def test_report_for_another_network_rejected_first(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the shapes were checked")
+
+        monkeypatch.setattr(certify, "empirical_lower_bound", no_sampling)
+        report = run_recursion(generate_random(3, 8, 6, 4, seed=1),
+                               StrategyConfig("fast"))
+        with pytest.raises(DimensionMismatch, match="expected 5 multipliers"):
+            validate(generate_random(5, 8, 6, 4, seed=1), report, n_samples=5)
+        with pytest.raises(DimensionMismatch, match="multiplier 1 has shape"):
+            validate(generate_random(3, 9, 6, 4, seed=1), report, n_samples=5)

@@ -113,7 +113,8 @@ class TestCompute:
         winner = {"c": payload["config"]["c"], "theta": payload["config"]["theta"],
                   "bound": payload["bound"]}
         assert winner in points
-        assert "method=interp" in capsys.readouterr().out
+        line = capsys.readouterr().out
+        assert f"method=interp c={winner['c']:g} theta={winner['theta']:g} " in line
 
     def test_method_choices_follow_the_table(self):
         comp = _subparser("compute")
@@ -139,6 +140,15 @@ class TestVerify:
         assert main(["compute", "--net", str(oracle_path), "--method", "fast",
                      "--o", str(report_path)]) == 0
         return report_path
+
+    def _small_net_and_report(self, tmp_path, layers=3):
+        net_path = tmp_path / f"net{layers}.json"
+        report_path = tmp_path / f"fast{layers}.json"
+        assert main(["gen", "--layers", str(layers), "--width", "8", "--in", "6",
+                     "--out", "4", "--seed", "1", "--o", str(net_path)]) == 0
+        assert main(["compute", "--net", str(net_path), "--method", "fast",
+                     "--o", str(report_path)]) == 0
+        return net_path, report_path
 
     def test_oracle_report_passes(self, oracle_path, tmp_path, capsys):
         report_path = self._compute_report(oracle_path, tmp_path)
@@ -175,19 +185,50 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--net", str(net_path), "--report",
                      str(report_path), "--samples", "5"]) == 6
-        assert "not PSD" in capsys.readouterr().err
+        assert "not PSD at output" in capsys.readouterr().err
 
-    def test_oversized_lmi_message_but_empirical_runs(
-        self, oracle_path, tmp_path, capsys
-    ):
-        report_path = self._compute_report(oracle_path, tmp_path)
-        code = main(["verify", "--net", str(oracle_path), "--report",
-                     str(report_path), "--samples", "5", "--lmi",
-                     "--lmi-cap", "1"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "exceeds cap" in captured.err
-        assert "psd=n/a" in captured.out
+    def test_nan_bound_exit_6(self, tmp_path, capsys):
+        net_path, report_path = self._small_net_and_report(tmp_path)
+        payload = json.loads(report_path.read_text())
+        payload["bound"] = float("nan")
+        report_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", "--net", str(net_path), "--report",
+                     str(report_path), "--samples", "5"]) == 6
+        assert "non-finite bound" in capsys.readouterr().err
+
+    def test_nan_lambda_with_shrunk_gamma_exit_6(self, tmp_path, capsys):
+        net_path, report_path = self._small_net_and_report(tmp_path)
+        payload = json.loads(report_path.read_text())
+        payload["multipliers"]["lambdas"][1][0] = float("nan")
+        payload["gamma"] *= 0.81
+        payload["multipliers"]["gamma"] *= 0.81
+        payload["bound"] *= 0.9
+        report_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", "--net", str(net_path), "--report",
+                     str(report_path), "--samples", "5"]) == 6
+        assert "non-finite multiplier in layer 2" in capsys.readouterr().err
+
+    def test_interior_lambda_failure_names_layer(self, tmp_path, capsys):
+        net_path, report_path = self._small_net_and_report(tmp_path, layers=10)
+        payload = json.loads(report_path.read_text())
+        payload["multipliers"]["lambdas"][4] = [
+            2.01 * v for v in payload["multipliers"]["lambdas"][4]
+        ]
+        report_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", "--net", str(net_path), "--report",
+                     str(report_path), "--samples", "5"]) == 6
+        assert "not PSD at layer 5 " in capsys.readouterr().err
+
+    def test_report_for_another_network_exit_2(self, tmp_path, capsys):
+        _, report_path = self._small_net_and_report(tmp_path)
+        deep_path, _ = self._small_net_and_report(tmp_path, layers=30)
+        capsys.readouterr()
+        assert main(["verify", "--net", str(deep_path), "--report",
+                     str(report_path), "--samples", "5"]) == 2
+        assert "expected 30 multipliers, got 3" in capsys.readouterr().err
 
 
 class TestBench:

@@ -14,7 +14,6 @@ from lipbound.linalg import (
     gamma_matrix,
     row_abs_sums,
     scaled_row_sums,
-    shifted_cholesky_report,
     spectral_norm,
     spectral_upper_bound,
     top_eigenvalue,
@@ -88,8 +87,8 @@ class TestGammaMatrix:
             L = cholesky(random_spd(rng, int(n)))
             G = gamma_matrix(W, L)
             np.testing.assert_array_equal(G, G.T)
-            ok, _ = shifted_cholesky_report(G, 1e-12 * (1.0 + np.abs(G).max()))
-            assert ok
+            shift = 1e-12 * (1.0 + np.abs(G).max())
+            cholesky(G + shift * np.eye(G.shape[0]))
 
 
 class TestTopEigenvalue:
@@ -168,17 +167,20 @@ class TestRowSums:
 
 class TestPsdCheck:
     def test_identity_no_shift(self):
-        assert shifted_cholesky_report(np.eye(3), 0.0) == (True, 1.0)
+        np.testing.assert_array_equal(cholesky(np.eye(3)), np.eye(3))
 
     def test_singular_psd_passes_small_shift(self):
         # det = 9 - 9 = 0: exactly singular PSD, factored once shifted
         S = np.array([[0.25, -3.0], [-3.0, 36.0]])
-        assert shifted_cholesky_report(S, 1e-9)[0]
+        L = cholesky(S + 1e-9 * np.eye(2))
+        np.testing.assert_allclose(L @ L.T, S, atol=1e-8)
 
     def test_indefinite_fails(self):
-        # eigenvalues {3, -1}; the Gershgorin estimate is 1 - 2
+        # eigenvalues {3, -1}
         S = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert shifted_cholesky_report(S, 1e-9) == (False, -1.0)
+        np.testing.assert_allclose(np.linalg.eigvalsh(S), [-1.0, 3.0])
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(S + 1e-9 * np.eye(2))
 
 
 class TestSpectralUpperBound:
