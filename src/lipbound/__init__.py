@@ -1,6 +1,9 @@
 """Certified Lipschitz upper bounds for feedforward neural networks.
 
-The dense linear-algebra kernels are importable from ``lipbound.linalg``.
+The dense linear-algebra kernels are importable from ``lipbound.linalg``;
+they check nothing but LAPACK's status, so their inputs must be float64,
+finite, square and, where the kernel says so, exactly symmetric.
+``Network`` checks a network's shapes and finiteness once, when it is built.
 """
 
 __version__ = "0.1.0"

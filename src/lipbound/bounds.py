@@ -46,6 +46,7 @@ from .errors import AllInfeasible, DefinitenessLost, NotPositiveDefinite
 from .linalg import (
     cholesky,
     gamma_matrix,
+    gram,
     row_abs_sums,
     scaled_row_sums,
     spectral_norm,
@@ -86,12 +87,10 @@ def _gc(G, cfg):
 
 def _gcs(G, cfg):
     """Diagonally scaled Gershgorin multiplier with Q = diag(G)."""
-    diag = np.diag(G).copy()
-    epsilon_q = cfg.epsilon_q
-    if epsilon_q is None:
-        top = float(diag.max()) if diag.size else 0.0
-        epsilon_q = 1e-12 * (1.0 + max(top, 0.0))
-    q = np.where(diag > 0.0, diag, epsilon_q)
+    diag = np.diag(G)
+    # zero diagonal entries take a tiny positive stand-in
+    eps = 1e-12 * (1.0 + float(diag.max(initial=0.0)))
+    q = np.where(diag > 0.0, diag, eps)
     return _row_sum_rule(scaled_row_sums(G, q), cfg.c, cfg.d_tilde)
 
 
@@ -153,7 +152,6 @@ class StrategyConfig:
     method: str
     c: float = 1.0
     d_tilde: float = 1.0
-    epsilon_q: float | None = None
     theta: float = 0.5
     certified: bool = False
 
@@ -169,8 +167,6 @@ class StrategyConfig:
             raise ValueError("theta must lie in [0, 1]")
         if self.d_tilde <= 0.0:
             raise ValueError("d_tilde must be positive")
-        if self.epsilon_q is not None and self.epsilon_q <= 0.0:
-            raise ValueError("epsilon_q must be positive")
 
 
 @dataclass
@@ -269,8 +265,7 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
     sigmas = []
     for W in net.weights:
         if certified:
-            G = W @ W.T if W.shape[0] <= W.shape[1] else W.T @ W
-            sigmas.append(math.sqrt(spectral_upper_bound(0.5 * (G + G.T))))
+            sigmas.append(math.sqrt(spectral_upper_bound(gram(W))))
         else:
             sigmas.append(spectral_norm(W))
     bound = 1.0
@@ -315,7 +310,6 @@ def sweep_c(
     grid=None,
     jobs: int = 1,
     d_tilde: float = 1.0,
-    epsilon_q: float | None = None,
     theta: float = 0.5,
     certified: bool = False,
 ) -> BoundReport:
@@ -334,8 +328,7 @@ def sweep_c(
         raise ValueError(f"method {method!r} takes no c sweep")
     points = strategy.grid if grid is None else [(c, theta) for c in expand_grid(grid)]
     configs = [
-        StrategyConfig(method, c=c, d_tilde=d_tilde, epsilon_q=epsilon_q,
-                       theta=t, certified=certified)
+        StrategyConfig(method, c=c, d_tilde=d_tilde, theta=t, certified=certified)
         for c, t in points
     ]
 
@@ -436,7 +429,6 @@ def report_to_dict(report: BoundReport) -> dict:
         "config": {
             "c": cfg.c,
             "d_tilde": cfg.d_tilde,
-            "epsilon_q": cfg.epsilon_q,
             "theta": cfg.theta,
             "certified": cfg.certified,
         },
@@ -456,7 +448,6 @@ def report_from_dict(d: dict) -> BoundReport:
         method=d["method"],
         c=cfg_d.get("c", 1.0),
         d_tilde=cfg_d.get("d_tilde", 1.0),
-        epsilon_q=cfg_d.get("epsilon_q"),
         theta=cfg_d.get("theta", 0.5),
         certified=cfg_d.get("certified", False),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, ValidationFailed
-from .linalg import cholesky, gamma_matrix, row_abs_sums
+from .linalg import cholesky, gamma_matrix
 from .network import Network, jacobian_sigma
 
 DEFAULT_RADIUS = 10.0
@@ -112,8 +112,10 @@ def verify_feasibility(net: Network, ms) -> LmiCertificate:
     (W_{l+1} for the output block), block k factors the Schur complement
     diag(d_k s_k^2) + shift*I - B_k (L_{k-1} L_{k-1}^T)^-1 B_k^T, the
     recursion's M_k in scaled form.  That costs O(sum n_k^3).  The first
-    block that is not finite or fails to factor makes the verdict; its
-    Gershgorin bound is then the pivot estimate.
+    block that is not finite or fails to factor makes the verdict; the
+    smallest eigenvalue of its unshifted Schur complement is then the
+    estimate, so a report off by rounding reads near zero and one off by
+    a relative delta in gamma reads about -delta.
     """
     lambdas = _checked_lambdas(net, ms)
     shift = _FEASIBILITY_SHIFT
@@ -138,9 +140,8 @@ def verify_feasibility(net: Network, ms) -> LmiCertificate:
         try:
             L = cholesky(M)
         except NotPositiveDefinite:
-            m = np.diag(M)
-            gershgorin = float(np.min(m - (row_abs_sums(M) - np.abs(m))))
-            return LmiCertificate(total, shift, False, gershgorin - shift, k)
+            lowest = float(np.linalg.eigvalsh(M)[0])
+            return LmiCertificate(total, shift, False, lowest - shift, k)
         min_pivot = min(min_pivot, float(np.diag(L).min()) ** 2)
         s_prev = s
     return LmiCertificate(total, shift, True, min_pivot - shift)

@@ -7,10 +7,10 @@ Subcommands:
 - ``verify``   independently check a report against its network
 - ``bench``    sweep depth/width/seed grids and emit a CSV
 
-Exit codes: 0 success, 2 invalid arguments, unreadable input format or a
-report that does not fit its network, 3 I/O failure, 4 definiteness lost
-without a sweep fallback, 5 all sweep points infeasible, 6 validation
-failed.
+Exit codes: 0 success, 2 invalid arguments, unreadable input format, a
+network with a non-finite entry or a report that does not fit its network,
+3 I/O failure, 4 definiteness lost without a sweep fallback, 5 all sweep
+points infeasible, 6 validation failed.
 """
 
 from __future__ import annotations

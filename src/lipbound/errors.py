@@ -17,10 +17,6 @@ class NotConverged(LipboundError):
     """A LAPACK eigen-solver reported failure to converge."""
 
 
-class NonPositiveScaling(LipboundError):
-    """A diagonal scaling vector contained a non-positive entry."""
-
-
 class ParseError(LipboundError):
     """A network file could not be parsed."""
 

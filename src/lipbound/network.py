@@ -63,7 +63,12 @@ def _act_deriv(name: str, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable dense feedforward network W_1..W_{l+1} (+ optional biases)."""
+    """Immutable dense feedforward network W_1..W_{l+1} (+ optional biases).
+
+    The one place a network's data is checked: shapes must chain and every
+    weight and bias must be finite, so the kernels downstream need not
+    re-check them.
+    """
 
     weights: tuple
     biases: tuple | None = None
@@ -84,6 +89,8 @@ class Network:
                     f"layer {k + 1} expects {W.shape[1]} inputs but layer "
                     f"{k} outputs {weights[k - 1].shape[0]}",
                 )
+            if not np.all(np.isfinite(W)):
+                raise ValueError(f"layer {k + 1} has a non-finite weight")
         object.__setattr__(self, "weights", weights)
         if self.biases is not None:
             if len(self.biases) != len(weights):
@@ -96,6 +103,8 @@ class Network:
                     raise DimensionChainError(
                         k + 1, f"bias {k + 1} does not match layer output dim"
                     )
+                if not np.all(np.isfinite(b)):
+                    raise ValueError(f"layer {k + 1} has a non-finite bias")
             object.__setattr__(self, "biases", biases)
 
     @property

@@ -18,6 +18,7 @@ from lipbound.bounds import (
     run_recursion,
     sweep_c,
 )
+from lipbound.certify import validate
 from lipbound.errors import AllInfeasible
 from lipbound.network import Network, generate_random
 
@@ -371,3 +372,15 @@ class TestReportSerialization:
         assert "final_residual" not in payload
         payload["final_residual"] = 1e-12
         assert report_from_dict(payload).bound == report.bound
+
+    def test_loads_and_verifies_report_with_epsilon_q(self):
+        # reports written by earlier versions carry config.epsilon_q
+        net = generate_random(3, 6, 5, 4, seed=8)
+        report = run_recursion(net, StrategyConfig("gcs", c=1.0))
+        payload = report_to_dict(report)
+        assert "epsilon_q" not in payload["config"]
+        for value in (None, 1e-12):
+            payload["config"]["epsilon_q"] = value
+            back = report_from_dict(payload)
+            assert back.bound == report.bound
+            assert validate(net, back, n_samples=5).lmi.psd

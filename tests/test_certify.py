@@ -105,6 +105,25 @@ class TestVerifyFeasibility:
                 assert not cert.psd, (depth, factor)
                 assert cert.failed_block == depth + 1
 
+    def test_failed_block_estimate_tracks_gamma_shrink(self):
+        # shrinking gamma by delta leaves the scaled output block with
+        # smallest eigenvalue 1 - 1/(1 - delta); a Gershgorin bound of the
+        # block read -0.35 to -0.41 whatever delta was
+        deep = generate_random(30, 64, 64, 10, seed=0)
+        cases = (
+            (deep, StrategyConfig("gc", c=1.0)),
+            (deep, StrategyConfig("fast")),
+            (generate_random(10, 64, 64, 10, seed=0), StrategyConfig("sn", c=1.5)),
+        )
+        for net, cfg in cases:
+            ms = run_recursion(net, cfg).multipliers
+            for delta in (1e-2, 1e-4):
+                shrunk = MultiplierSequence(ms.lambdas, ms.gamma * (1.0 - delta))
+                cert = verify_feasibility(net, shrunk)
+                assert not cert.psd and cert.failed_block == net.depth + 1
+                expect = 1.0 - 1.0 / (1.0 - delta)
+                assert abs(cert.min_pivot_estimate - expect) <= 1e-6, (cfg, delta)
+
     def test_zero_gamma_report_feasible(self):
         net = Network((np.array([[2.0]]), np.array([[0.0]])))
         report = run_recursion(net, StrategyConfig("fast"))

@@ -231,6 +231,62 @@ class TestVerify:
         assert "expected 30 multipliers, got 3" in capsys.readouterr().err
 
 
+class TestNonFiniteNetwork:
+    """A network with a non-finite weight or bias is bad input on every command."""
+
+    @staticmethod
+    def _clean_net():
+        # dims 3 -> 4 -> 4 -> 4 -> 4, every weight 0.3, zero biases
+        return Network(
+            tuple(np.full((4, 3 if k == 0 else 4), 0.3) for k in range(4)),
+            biases=tuple(np.zeros(4) for _ in range(4)),
+        )
+
+    def _write_bad(self, tmp_path, kind):
+        """Write a network file with one non-finite entry; return it and its layer."""
+        if kind == "lnet-inf-weight":
+            path = tmp_path / "net.lnet"
+            save_network(self._clean_net(), path, binary=True)
+            data = bytearray(path.read_bytes())
+            # header, layer table, layers 1 and 2, then layer 3's first entry
+            offset = 16 + 8 * 4 + 8 * (4 * 3 + 4 * 4)
+            data[offset : offset + 8] = np.float64(np.inf).tobytes()
+            path.write_bytes(bytes(data))
+            return path, 3
+        path = tmp_path / "net.json"
+        save_network(self._clean_net(), path)
+        manifest = json.loads(path.read_text())
+        if kind == "json-nan-weight":
+            manifest["layers"][1]["weights"][5] = float("nan")
+            layer = 2
+        else:
+            manifest["layers"][0]["bias"][2] = float("nan")
+            layer = 1
+        path.write_text(json.dumps(manifest))
+        return path, layer
+
+    @pytest.mark.parametrize("kind", ["json-nan-weight", "lnet-inf-weight", "nan-bias"])
+    @pytest.mark.parametrize("command", [
+        ["compute", "--method", "product"],
+        ["compute", "--method", "best"],
+        ["compute", "--method", "gc", "--c", "1"],
+        ["verify", "--samples", "5"],
+    ], ids=["product", "best", "gc", "verify"])
+    def test_exit_2_names_layer(self, tmp_path, capsys, kind, command):
+        net_path, layer = self._write_bad(tmp_path, kind)
+        argv = [command[0], "--net", str(net_path), *command[1:]]
+        if command[0] == "verify":
+            # a genuine report for the same network without the bad entry
+            good_path, report_path = tmp_path / "good.json", tmp_path / "report.json"
+            save_network(self._clean_net(), good_path)
+            assert main(["compute", "--net", str(good_path), "--method", "fast",
+                         "--o", str(report_path)]) == 0
+            argv += ["--report", str(report_path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"layer {layer} has a non-finite" in capsys.readouterr().err
+
+
 class TestBench:
     def test_csv_schema_and_ordering(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
-from lipbound.errors import (
-    DimensionMismatch,
-    NonPositiveScaling,
-    NotConverged,
-    NotPositiveDefinite,
-)
+from lipbound.errors import NotConverged, NotPositiveDefinite
 from lipbound.linalg import (
     cholesky,
     gamma_matrix,
+    gram,
     row_abs_sums,
     scaled_row_sums,
     spectral_norm,
@@ -43,14 +39,6 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            cholesky(np.ones((2, 3)))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
     def test_reconstruction_on_random_spd(self):
         rng = np.random.default_rng(42)
         for n in (1, 2, 3, 5, 8, 20, 50):
@@ -75,10 +63,6 @@ class TestGammaMatrix:
         G = gamma_matrix(np.array([[1.0, 1.0]]), np.eye(2))
         np.testing.assert_allclose(G, [[2.0]])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            gamma_matrix(np.ones((2, 3)), np.eye(2))
-
     def test_symmetric_and_psd_on_random_inputs(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -86,6 +70,7 @@ class TestGammaMatrix:
             W = rng.standard_normal((m, n))
             L = cholesky(random_spd(rng, int(n)))
             G = gamma_matrix(W, L)
+            # exact: gamma_matrix relies on the Gram product's symmetry
             np.testing.assert_array_equal(G, G.T)
             shift = 1e-12 * (1.0 + np.abs(G).max())
             cholesky(G + shift * np.eye(G.shape[0]))
@@ -160,10 +145,6 @@ class TestRowSums:
         for q in ([1.0, 1.0], [0.2, 7.0]):
             np.testing.assert_allclose(scaled_row_sums(G, np.array(q)), [3.0, 5.0])
 
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveScaling):
-            scaled_row_sums(np.eye(2), np.array([1.0, 0.0]))
-
 
 class TestPsdCheck:
     def test_identity_no_shift(self):
@@ -203,6 +184,14 @@ class TestSpectralUpperBound:
 
 
 class TestSpectralNorm:
+    def test_gram_exactly_symmetric(self):
+        # spectral_norm and the certified product bound rely on this
+        rng = np.random.default_rng(13)
+        for shape in ((3, 5), (5, 3), (1, 4), (7, 7), (40, 64), (64, 40)):
+            G = gram(rng.standard_normal(shape))
+            assert G.shape == (min(shape),) * 2
+            np.testing.assert_array_equal(G, G.T)
+
     def test_rectangular(self):
         rng = np.random.default_rng(9)
         for shape in ((3, 5), (5, 3), (1, 4), (4, 4)):

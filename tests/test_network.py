@@ -50,6 +50,18 @@ class TestNetworkModel:
         with pytest.raises(DimensionChainError):
             Network((np.eye(2),), biases=(np.zeros(3),))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_layer(self, value):
+        W = np.eye(2)
+        W[1, 0] = value
+        with pytest.raises(ValueError, match="layer 2 has a non-finite weight"):
+            Network((np.eye(2), W, np.ones((1, 2))))
+
+    def test_non_finite_bias_names_layer(self):
+        biases = (np.zeros(2), np.array([0.0, np.nan]))
+        with pytest.raises(ValueError, match="layer 2 has a non-finite bias"):
+            Network((np.eye(2), np.eye(2)), biases=biases)
+
 
 class TestPersistence:
     def test_json_round_trip_bit_exact(self, tmp_path):
