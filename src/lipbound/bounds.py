@@ -65,24 +65,30 @@ class Strategy:
     grid: tuple = ()  # default sweep as (c, theta) points; empty: no sweep
 
 
-def _sn(G, c, d_tilde):
+# The multiplier on a coordinate that G leaves at zero (a zero matrix for
+# sn, a zero row for gc and gcs): any positive value is feasible there.
+FALLBACK_MULTIPLIER = 1.0
+
+
+def _sn(G, c):
     """Spectral-norm multiplier c / sigma_max(G) on every coordinate."""
     sigma = top_eigenvalue(G)
     n = G.shape[0]
     if sigma <= 0.0:
-        return np.full(n, d_tilde), 0.0
+        return np.full(n, FALLBACK_MULTIPLIER), 0.0
     return np.full(n, c / sigma), sigma
 
 
-def _row_sum_rule(sums, c, d_tilde):
-    """c / row sum, with d_tilde on zero rows."""
-    lam = np.where(sums > 0.0, c / np.where(sums > 0.0, sums, 1.0), d_tilde)
+def _row_sum_rule(sums, c):
+    """c / row sum, with the fallback on zero rows."""
+    lam = np.where(sums > 0.0, c / np.where(sums > 0.0, sums, 1.0),
+                   FALLBACK_MULTIPLIER)
     return lam, float(sums.max()) if sums.size else 0.0
 
 
 def _gc(G, cfg):
     """Gershgorin multiplier c / row-abs-sum."""
-    return _row_sum_rule(row_abs_sums(G), cfg.c, cfg.d_tilde)
+    return _row_sum_rule(row_abs_sums(G), cfg.c)
 
 
 def _gcs(G, cfg):
@@ -91,7 +97,7 @@ def _gcs(G, cfg):
     # zero diagonal entries take a tiny positive stand-in
     eps = 1e-12 * (1.0 + float(diag.max(initial=0.0)))
     q = np.where(diag > 0.0, diag, eps)
-    return _row_sum_rule(scaled_row_sums(G, q), cfg.c, cfg.d_tilde)
+    return _row_sum_rule(scaled_row_sums(G, q), cfg.c)
 
 
 def _shift(G, cfg):
@@ -113,10 +119,10 @@ def _interp(G, cfg):
     """Interpolate Lambda^{-1} between the sn and gc choices (convex set)."""
     # endpoints returned verbatim: a double reciprocal is not bit-exact
     if cfg.theta == 1.0:
-        return _sn(G, cfg.c, cfg.d_tilde)
+        return _sn(G, cfg.c)
     if cfg.theta == 0.0:
         return _gc(G, cfg)
-    lam_sn, _ = _sn(G, cfg.c, cfg.d_tilde)
+    lam_sn, _ = _sn(G, cfg.c)
     lam_gc, _ = _gc(G, cfg)
     inv = cfg.theta / lam_sn + (1.0 - cfg.theta) / lam_gc
     return 1.0 / inv, float(inv.max()) if inv.size else 0.0
@@ -128,8 +134,8 @@ _C_SWEEP = tuple((round(0.05 * i, 2), 0.5) for i in range(1, 40)) + ((1.99, 0.5)
 
 # After product, this order is the tie order of best_of.
 STRATEGIES = {
-    "fast": Strategy(lambda G, cfg: _sn(G, 1.0, cfg.d_tilde), None),
-    "sn": Strategy(lambda G, cfg: _sn(G, cfg.c, cfg.d_tilde), (0.0, 2.0), _C_SWEEP),
+    "fast": Strategy(lambda G, cfg: _sn(G, 1.0), None),
+    "sn": Strategy(lambda G, cfg: _sn(G, cfg.c), (0.0, 2.0), _C_SWEEP),
     "gc": Strategy(_gc, (0.0, 2.0), _C_SWEEP),
     "gcs": Strategy(_gcs, (0.0, 2.0), _C_SWEEP),
     "shift": Strategy(
@@ -151,7 +157,6 @@ class StrategyConfig:
 
     method: str
     c: float = 1.0
-    d_tilde: float = 1.0
     theta: float = 0.5
     certified: bool = False
 
@@ -165,8 +170,6 @@ class StrategyConfig:
             )
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if self.d_tilde <= 0.0:
-            raise ValueError("d_tilde must be positive")
 
 
 @dataclass
@@ -182,7 +185,6 @@ class BoundReport:
     method: str
     config: StrategyConfig
     bound: float
-    gamma: float
     per_layer: list
     wall_time: float
     multipliers: MultiplierSequence
@@ -246,7 +248,6 @@ def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
         method=cfg.method,
         config=cfg,
         bound=bound,
-        gamma=gamma,
         per_layer=per_layer,
         wall_time=time.perf_counter() - t0,
         multipliers=MultiplierSequence(lambdas, gamma),
@@ -286,7 +287,6 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
         method="product",
         config=cfg,
         bound=bound,
-        gamma=gamma,
         per_layer=per_layer,
         wall_time=time.perf_counter() - t0,
         multipliers=MultiplierSequence(lambdas, gamma),
@@ -309,7 +309,6 @@ def sweep_c(
     method: str,
     grid=None,
     jobs: int = 1,
-    d_tilde: float = 1.0,
     theta: float = 0.5,
     certified: bool = False,
 ) -> BoundReport:
@@ -328,7 +327,7 @@ def sweep_c(
         raise ValueError(f"method {method!r} takes no c sweep")
     points = strategy.grid if grid is None else [(c, theta) for c in expand_grid(grid)]
     configs = [
-        StrategyConfig(method, c=c, d_tilde=d_tilde, theta=t, certified=certified)
+        StrategyConfig(method, c=c, theta=t, certified=certified)
         for c, t in points
     ]
 
@@ -364,7 +363,6 @@ def best_of(
     net: Network,
     grids: dict | None = None,
     jobs: int = 1,
-    d_tilde: float = 1.0,
     certified: bool = False,
 ) -> BoundReport:
     """Best bound of product and every strategy, swept where it has a grid.
@@ -376,12 +374,12 @@ def best_of(
     candidates = [product_bound(net, certified=certified)]
     for method, strategy in STRATEGIES.items():
         if not strategy.grid:
-            cfg = StrategyConfig(method, d_tilde=d_tilde, certified=certified)
+            cfg = StrategyConfig(method, certified=certified)
             candidates.append(run_recursion(net, cfg))
             continue
         try:
             candidates.append(sweep_c(net, method, grids.get(method), jobs=jobs,
-                                      d_tilde=d_tilde, certified=certified))
+                                      certified=certified))
         except AllInfeasible:
             pass
     return min(candidates, key=lambda r: r.bound)
@@ -394,7 +392,6 @@ def evaluate(
     grid=None,
     jobs: int = 1,
     theta: float = 0.5,
-    d_tilde: float = 1.0,
     certified: bool = False,
 ) -> BoundReport:
     """One bound by method name, as the CLI computes it.
@@ -404,19 +401,17 @@ def evaluate(
     otherwise the method sweeps ``grid``, or its default sweep.
     """
     if method == "best":
-        return best_of(net, jobs=jobs, d_tilde=d_tilde, certified=certified)
+        return best_of(net, jobs=jobs, certified=certified)
     if method == "product":
         return product_bound(net, certified=certified)
     if method not in STRATEGIES:
         raise ValueError(f"unknown method {method!r}")
     if STRATEGIES[method].c_range is None:
-        cfg = StrategyConfig(method, d_tilde=d_tilde, certified=certified)
+        cfg = StrategyConfig(method, certified=certified)
     elif c is None:
-        return sweep_c(net, method, grid, jobs=jobs, d_tilde=d_tilde,
-                       theta=theta, certified=certified)
+        return sweep_c(net, method, grid, jobs=jobs, theta=theta, certified=certified)
     else:
-        cfg = StrategyConfig(method, c=c, theta=theta, d_tilde=d_tilde,
-                             certified=certified)
+        cfg = StrategyConfig(method, c=c, theta=theta, certified=certified)
     return run_recursion(net, cfg)
 
 
@@ -425,10 +420,9 @@ def report_to_dict(report: BoundReport) -> dict:
     return {
         "method": report.method,
         "bound": report.bound,
-        "gamma": report.gamma,
+        "gamma": report.multipliers.gamma,  # repeats multipliers.gamma
         "config": {
             "c": cfg.c,
-            "d_tilde": cfg.d_tilde,
             "theta": cfg.theta,
             "certified": cfg.certified,
         },
@@ -440,29 +434,3 @@ def report_to_dict(report: BoundReport) -> dict:
         },
         "sweep": report.sweep,
     }
-
-
-def report_from_dict(d: dict) -> BoundReport:
-    cfg_d = d.get("config", {})
-    cfg = StrategyConfig(
-        method=d["method"],
-        c=cfg_d.get("c", 1.0),
-        d_tilde=cfg_d.get("d_tilde", 1.0),
-        theta=cfg_d.get("theta", 0.5),
-        certified=cfg_d.get("certified", False),
-    )
-    ms = d.get("multipliers", {})
-    multipliers = MultiplierSequence(
-        lambdas=[np.asarray(lam, dtype=np.float64) for lam in ms.get("lambdas", [])],
-        gamma=float(ms.get("gamma", d["bound"] ** 2)),
-    )
-    return BoundReport(
-        method=d["method"],
-        config=cfg,
-        bound=float(d["bound"]),
-        gamma=float(d.get("gamma", d["bound"] ** 2)),
-        per_layer=d.get("per_layer", []),
-        wall_time=float(d.get("wall_time_s", 0.0)),
-        multipliers=multipliers,
-        sweep=d.get("sweep"),
-    )

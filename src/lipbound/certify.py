@@ -177,21 +177,21 @@ def empirical_lower_bound(
 
 def validate(
     net: Network,
-    report,
+    bound: float,
+    ms,
     n_samples: int = 200,
     seed: int = 0,
     radius: float = DEFAULT_RADIUS,
 ) -> ValidationReport:
-    """Full independent check of a bound report.
+    """Full independent check of a bound and its certificate ``ms``.
 
-    Raises DimensionMismatch if the multipliers do not fit the network.
-    Fails hard (ValidationFailed) if the bound, gamma or a multiplier is
-    not finite, if the reported bound is inconsistent with its gamma, if
-    the feasibility matrix is not PSD, or if the empirical lower bound
-    exceeds the reported bound.
+    Reads nothing about how the run was configured.  Raises
+    DimensionMismatch if the multipliers do not fit the network.  Fails hard
+    (ValidationFailed) if the bound, gamma or a multiplier is not finite, if
+    the bound is inconsistent with gamma, if the feasibility matrix is not
+    PSD, or if the empirical lower bound exceeds the bound.
     """
-    bound = float(report.bound)
-    ms = report.multipliers
+    bound = float(bound)
     lambdas = _checked_lambdas(net, ms)
     if not (math.isfinite(bound) and math.isfinite(ms.gamma)):
         raise ValidationFailed(f"non-finite bound {bound} or gamma {ms.gamma}")

@@ -4,13 +4,13 @@ Subcommands:
 
 - ``gen``      generate a random network file
 - ``compute``  compute a Lipschitz bound and write a JSON report
-- ``verify``   independently check a report against its network
+- ``verify``   independently check a report's certificate against its network
 - ``bench``    sweep depth/width/seed grids and emit a CSV
 
 Exit codes: 0 success, 2 invalid arguments, unreadable input format, a
-network with a non-finite entry or a report that does not fit its network,
-3 I/O failure, 4 definiteness lost without a sweep fallback, 5 all sweep
-points infeasible, 6 validation failed.
+network with a non-finite entry, a malformed report or one that does not fit
+its network, 3 I/O failure, 4 definiteness lost without a sweep fallback,
+5 all sweep points infeasible, 6 validation failed.
 """
 
 from __future__ import annotations
@@ -21,12 +21,15 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .bounds import METHODS, evaluate, report_from_dict, report_to_dict
-from .certify import DEFAULT_RADIUS, validate
+from .bounds import METHODS, MultiplierSequence, evaluate, report_to_dict
+from .certify import _GAMMA_RTOL, DEFAULT_RADIUS, validate
 from .errors import (
     AllInfeasible,
     DefinitenessLost,
@@ -80,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--c", type=float, default=None)
     comp.add_argument("--sweep", default=None, metavar="LO:HI:STEP")
     comp.add_argument("--theta", type=float, default=0.5)
-    comp.add_argument("--d-tilde", type=float, default=1.0)
     comp.add_argument("--certified", action="store_true")
     comp.add_argument("--jobs", type=int, default=1)
     comp.add_argument("--o", dest="output", default=None)
@@ -138,7 +140,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     report = evaluate(
         net, args.method, args.c, grid, jobs=args.jobs, theta=args.theta,
-        d_tilde=args.d_tilde, certified=args.certified,
+        certified=args.certified,
     )
     elapsed = time.perf_counter() - t0
     payload = report_to_dict(report)
@@ -153,26 +155,54 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_certificate(payload) -> tuple:
+    """The certificate a parsed JSON report states: (bound, multipliers).
+
+    Reads ``bound``, ``multipliers.lambdas`` and ``multipliers.gamma``, and
+    the top-level ``gamma`` where present, which must agree with
+    ``multipliers.gamma`` (ValidationFailed otherwise); how the run was
+    configured is never read.  Raises ParseError if a field is missing, not
+    numeric or beyond the float range.
+    """
+    payload = payload if isinstance(payload, dict) else {}
+    ms = payload.get("multipliers")
+    ms = ms if isinstance(ms, dict) else {}
+    lambdas = ms.get("lambdas")
+    fields = {"bound": payload.get("bound"), "multipliers.gamma": ms.get("gamma")}
+    fields["gamma"] = payload.get("gamma", fields["multipliers.gamma"])
+    for name, value in fields.items():
+        if not _is_number(value):
+            raise ParseError(f"report field {name} is missing or not a number")
+    if not (isinstance(lambdas, list) and all(
+            isinstance(lam, list) and all(map(_is_number, lam)) for lam in lambdas)):
+        raise ParseError(
+            "report field multipliers.lambdas is missing or not lists of numbers"
+        )
+    try:  # JSON integers have no size limit
+        bound, gamma, stated = (float(v) for v in fields.values())
+        lambdas = [np.array(lam, dtype=np.float64) for lam in lambdas]
+    except OverflowError as exc:
+        raise ParseError(f"report number outside the float range: {exc}") from exc
+    # "not <=" so that a NaN on either side never agrees
+    if "gamma" in payload and not abs(stated - gamma) <= _GAMMA_RTOL * (1 + abs(gamma)):
+        raise ValidationFailed(
+            f"report gamma {stated} disagrees with multipliers.gamma {gamma}"
+        )
+    return bound, MultiplierSequence(lambdas, gamma)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     net = load_network(args.net)
-    payload = json.loads(Path(args.report).read_text())
-    report = report_from_dict(payload)
+    bound, multipliers = read_certificate(json.loads(Path(args.report).read_text()))
     vr = validate(
-        net, report, n_samples=args.samples, seed=args.seed, radius=args.radius
+        net, bound, multipliers, n_samples=args.samples, seed=args.seed,
+        radius=args.radius,
     )
-    out = {
-        "bound": vr.bound,
-        "empirical_lower": vr.empirical_lower,
-        "samples": vr.samples,
-        "margin": vr.margin,
-        "lmi": {
-            "dimension": vr.lmi.dimension,
-            "shift_used": vr.lmi.shift_used,
-            "psd": vr.lmi.psd,
-            "min_pivot_estimate": vr.lmi.min_pivot_estimate,
-        },
-        "manifest": _manifest("verify", args),
-    }
+    out = {**asdict(vr), "manifest": _manifest("verify", args)}
     if args.output:
         Path(args.output).write_text(json.dumps(out, indent=2) + "\n")
     print(

@@ -18,7 +18,7 @@ class NotConverged(LipboundError):
 
 
 class ParseError(LipboundError):
-    """A network file could not be parsed."""
+    """A network file or a bound report could not be parsed."""
 
 
 class DimensionChainError(LipboundError):

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dsyevr
+from scipy.linalg.lapack import dpotrf, dsyevr, dtrtrs
 
 from .errors import NotConverged, NotPositiveDefinite
 
@@ -45,12 +44,15 @@ def cholesky(S: np.ndarray) -> np.ndarray:
 def gamma_matrix(W: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Propagated quadratic form W M^{-1} W.T given the Cholesky factor of M.
 
-    Computed as X.T @ X with L @ X = W.T, so M is never inverted explicitly
-    and the result is PSD by construction.  numpy forms X.T @ X with one
-    ``syrk`` call and mirrors its triangle, so the result is exactly
-    symmetric, as the row sums and eigen-solves downstream require.
+    Computed as X.T @ X with L @ X = W.T (one LAPACK ``dtrtrs`` call), so
+    M is never inverted explicitly and the result is PSD by construction.
+    numpy forms X.T @ X with one ``syrk`` call and mirrors its triangle, so
+    the result is exactly symmetric, as the row sums and eigen-solves
+    downstream require.
     """
-    X = solve_triangular(L, W.T, lower=True, check_finite=False)
+    X, info = dtrtrs(L, W.T, lower=1)
+    if info != 0:  # pragma: no cover - a Cholesky factor has no zero pivot
+        raise ValueError(f"dtrtrs: info={info}")
     return X.T @ X
 
 

@@ -49,16 +49,14 @@ def _sigmoid(z):
 _ACT = {"relu": _relu, "tanh": np.tanh, "sigmoid": _sigmoid}
 
 
-def _act_deriv(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        # derivative 0 at exactly zero pre-activation: deterministic and
-        # still a valid lower-bound sample
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    s = _sigmoid(z)
-    return s * (1.0 - s)
+# Each derivative written in terms of the activation's value h, so a layer
+# evaluates its activation once.  relu's derivative is 0 at exactly zero
+# pre-activation: deterministic and still a valid lower-bound sample.
+_DERIV = {
+    "relu": lambda h: (h > 0.0).astype(np.float64),
+    "tanh": lambda h: 1.0 - h * h,
+    "sigmoid": lambda h: h * (1.0 - h),
+}
 
 
 @dataclass(frozen=True)
@@ -296,8 +294,8 @@ def _activation_derivs(net: Network, x: np.ndarray) -> list:
         z = net.weights[k] @ h
         if net.biases is not None:
             z = z + net.biases[k]
-        derivs.append(_act_deriv(net.activation, z))
         h = _ACT[net.activation](z)
+        derivs.append(_DERIV[net.activation](h))
     return derivs
 
 

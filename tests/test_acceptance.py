@@ -182,9 +182,9 @@ def test_criterion_6_degenerate_cases():
     report = run_recursion(diag_net, StrategyConfig("shift", c=1.5))
     assert np.isfinite(report.bound) and report.bound > 0
     assert report.per_layer[0]["stat"] == 0.0  # remainder norm was zero
-    # a zero Gershgorin row exercises the d_tilde fallback
+    # a zero Gershgorin row exercises the fallback multiplier
     zero_row = Network((np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 1.0]])))
-    report = run_recursion(zero_row, StrategyConfig("gc", c=1.0, d_tilde=1.0))
+    report = run_recursion(zero_row, StrategyConfig("gc", c=1.0))
     assert np.isfinite(report.bound) and report.bound > 0
     assert report.multipliers.lambdas[0][1] == 1.0  # the fallback entry
 
@@ -208,12 +208,12 @@ def test_criterion_7_bias_invariance():
 def test_criterion_8_timing(tmp_path):
     for width in (80, 120, 160):
         net = generate_random(100, width, width, width, seed=1)
-        timings = {}
-        for method in ("fast", "gc", "gcs"):
-            timings[method] = min(
-                run_recursion(net, StrategyConfig(method, c=1.0)).wall_time
-                for _ in range(2)
-            )
+        # interleaved, so that drift in the host's speed hits all three alike
+        timings = dict.fromkeys(("fast", "gc", "gcs"), math.inf)
+        for _ in range(2):
+            for method in timings:
+                wall = run_recursion(net, StrategyConfig(method, c=1.0)).wall_time
+                timings[method] = min(timings[method], wall)
         assert timings["gc"] <= 1.5 * timings["fast"], (width, timings)
         assert timings["gcs"] <= 1.5 * timings["fast"], (width, timings)
     t0 = time.perf_counter()

@@ -1,5 +1,6 @@
 """Tests for the recursive bound engine and its multiplier strategies."""
 
+import json
 import math
 import warnings
 
@@ -7,18 +8,18 @@ import numpy as np
 import pytest
 
 from lipbound.bounds import (
+    FALLBACK_MULTIPLIER,
     METHODS,
     STRATEGIES,
     StrategyConfig,
     best_of,
     expand_grid,
     product_bound,
-    report_from_dict,
     report_to_dict,
     run_recursion,
     sweep_c,
 )
-from lipbound.certify import validate
+from lipbound.cli import read_certificate
 from lipbound.errors import AllInfeasible
 from lipbound.network import Network, generate_random
 
@@ -92,7 +93,7 @@ class TestStrategies:
 
     def test_sn_zero_matrix_falls_back(self):
         np.testing.assert_array_equal(
-            select("sn", np.zeros((2, 2)), c=1.0, d_tilde=0.7), [0.7, 0.7]
+            select("sn", np.zeros((2, 2)), c=1.0), [FALLBACK_MULTIPLIER] * 2
         )
 
     def test_fast_ignores_c(self):
@@ -103,9 +104,11 @@ class TestStrategies:
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose(select("gc", G, c=1.0), [1 / 3, 1 / 3])
 
-    def test_gc_zero_row_uses_d_tilde(self):
+    def test_gc_zero_row_falls_back(self):
         G = np.array([[1.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_allclose(select("gc", G, c=1.0, d_tilde=2.0), [1.0, 2.0])
+        np.testing.assert_array_equal(
+            select("gc", G, c=1.0), [1.0, FALLBACK_MULTIPLIER]
+        )
 
     def test_gc_near_edge(self):
         np.testing.assert_allclose(select("gc", [[4.0]], c=1.99), [0.4975])
@@ -165,7 +168,7 @@ class TestProductBound:
     def test_scalar_oracle(self):
         report = product_bound(scalar_net())
         assert abs(report.bound - 6.0) <= 1e-12
-        assert report.gamma == report.bound**2
+        assert report.multipliers.gamma == report.bound**2
 
     def test_permutation_layer(self):
         net = Network((np.array([[0.0, 1.0], [1.0, 0.0]]),))
@@ -265,8 +268,8 @@ class TestRunRecursion:
         assert product_bound(net).bound == product_bound(biased).bound
 
     def test_interior_zero_layer_completes(self):
-        # Gamma = 0 triggers the d_tilde fallback: M = 2*d_tilde*I, so the
-        # final bound is |W2| / sqrt(2*d_tilde)
+        # Gamma = 0 triggers the fallback multiplier f: M = 2*f*I, so the
+        # final bound is |W2| / sqrt(2*f)
         net = Network((np.zeros((2, 2)), np.array([[1.0, 1.0]])))
         report = run_recursion(net, StrategyConfig("fast"))
         assert abs(report.bound - 1.0) <= 1e-12
@@ -355,32 +358,13 @@ class TestBestOf:
 
 class TestReportSerialization:
     def test_round_trip(self):
+        # the verifier's reader gets back the certificate bit for bit
         report = run_recursion(generate_random(3, 6, 5, 4, seed=8),
                                StrategyConfig("sn", c=1.3))
-        back = report_from_dict(report_to_dict(report))
-        assert back.bound == report.bound
-        assert back.method == report.method
-        assert back.config.c == report.config.c
-        for a, b in zip(report.multipliers.lambdas, back.multipliers.lambdas):
-            np.testing.assert_array_equal(a, b)
-        assert back.multipliers.gamma == report.multipliers.gamma
-
-    def test_loads_report_with_final_residual(self):
-        # reports written by earlier versions carry a final_residual field
-        report = run_recursion(scalar_net(), StrategyConfig("fast"))
-        payload = report_to_dict(report)
-        assert "final_residual" not in payload
-        payload["final_residual"] = 1e-12
-        assert report_from_dict(payload).bound == report.bound
-
-    def test_loads_and_verifies_report_with_epsilon_q(self):
-        # reports written by earlier versions carry config.epsilon_q
-        net = generate_random(3, 6, 5, 4, seed=8)
-        report = run_recursion(net, StrategyConfig("gcs", c=1.0))
-        payload = report_to_dict(report)
-        assert "epsilon_q" not in payload["config"]
-        for value in (None, 1e-12):
-            payload["config"]["epsilon_q"] = value
-            back = report_from_dict(payload)
-            assert back.bound == report.bound
-            assert validate(net, back, n_samples=5).lmi.psd
+        payload = json.loads(json.dumps(report_to_dict(report)))
+        bound, ms = read_certificate(payload)
+        assert bound == report.bound
+        assert ms.gamma == report.multipliers.gamma == payload["gamma"]
+        assert len(ms.lambdas) == len(report.multipliers.lambdas)
+        for a, b in zip(report.multipliers.lambdas, ms.lambdas):
+            assert b.dtype == np.float64 and a.tobytes() == b.tobytes()

@@ -218,14 +218,15 @@ class TestEmpiricalLowerBound:
 class TestValidate:
     def test_tight_scalar_oracle(self):
         report = run_recursion(scalar_net(), StrategyConfig("fast"))
-        vr = validate(scalar_net(), report, n_samples=20, seed=0)
+        vr = validate(scalar_net(), report.bound, report.multipliers, n_samples=20,
+                      seed=0)
         assert abs(vr.margin) <= 1e-9
         assert vr.lmi is not None and vr.lmi.psd
 
     def test_random_net_best_method(self):
         net = generate_random(4, 12, 10, 6, seed=11)
         report = run_recursion(net, StrategyConfig("gc", c=1.5))
-        vr = validate(net, report, n_samples=50, seed=2)
+        vr = validate(net, report.bound, report.multipliers, n_samples=50, seed=2)
         assert vr.margin >= 0
         assert vr.lmi.psd
 
@@ -234,13 +235,13 @@ class TestValidate:
         report = run_recursion(net, StrategyConfig("fast"))
         report.bound *= 0.5
         with pytest.raises(ValidationFailed):
-            validate(net, report, n_samples=5, seed=0)
+            validate(net, report.bound, report.multipliers, n_samples=5, seed=0)
 
     def test_lmi_runs_past_2000_dimensions(self):
         net = generate_random(20, 100, 100, 10, seed=12)
         assert sum(net.dims) > 2000
         report = run_recursion(net, StrategyConfig("fast"))
-        vr = validate(net, report, n_samples=5, seed=0)
+        vr = validate(net, report.bound, report.multipliers, n_samples=5, seed=0)
         assert vr.lmi.psd and vr.lmi.dimension == sum(net.dims)
         assert vr.margin >= 0
 
@@ -252,6 +253,8 @@ class TestValidate:
         report = run_recursion(generate_random(3, 8, 6, 4, seed=1),
                                StrategyConfig("fast"))
         with pytest.raises(DimensionMismatch, match="expected 5 multipliers"):
-            validate(generate_random(5, 8, 6, 4, seed=1), report, n_samples=5)
+            validate(generate_random(5, 8, 6, 4, seed=1), report.bound,
+                     report.multipliers, n_samples=5)
         with pytest.raises(DimensionMismatch, match="multiplier 1 has shape"):
-            validate(generate_random(3, 9, 6, 4, seed=1), report, n_samples=5)
+            validate(generate_random(3, 9, 6, 4, seed=1), report.bound,
+                     report.multipliers, n_samples=5)

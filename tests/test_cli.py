@@ -24,6 +24,65 @@ def _subparser(name):
     return sub.choices[name]
 
 
+@pytest.fixture(scope="module")
+def small_reports(tmp_path_factory):
+    """A depth-3 network with its `fast` and `gc --c 1` reports, as JSON."""
+    root = tmp_path_factory.mktemp("small")
+    net_path = root / "net.json"
+    assert main(["gen", "--layers", "3", "--width", "8", "--in", "6", "--out", "4",
+                 "--seed", "1", "--o", str(net_path)]) == 0
+    reports = {}
+    for method in ("fast", "gc"):
+        path = root / f"{method}.json"
+        assert main(["compute", "--net", str(net_path), "--method", method,
+                     "--c", "1", "--o", str(path)]) == 0
+        reports[method] = json.loads(path.read_text())
+    return net_path, reports
+
+
+def _without(key):
+    return lambda p: {k: v for k, v in p.items() if k != key}
+
+
+def _config(**changes):
+    return lambda p: {**p, "config": {**p["config"], **changes}}
+
+
+def _multipliers(**changes):
+    return lambda p: {**p, "multipliers": {**p["multipliers"], **changes}}
+
+
+# (method, edit of the report, exit code, message on stderr).  verify reads
+# only the certificate (bound, multipliers.lambdas, multipliers.gamma) and the
+# top-level gamma that repeats it, so a report verifies whatever the rest says.
+REPORT_EDITS = {
+    "no-method": ("fast", _without("method"), 0, ""),
+    "config-null": ("fast", lambda p: {**p, "config": None}, 0, ""),
+    "unknown-method": ("fast", lambda p: {**p, "method": "newrule"}, 0, ""),
+    "gc-c-outside-range": ("gc", _config(c=2.5), 0, ""),
+    "negative-d_tilde": ("fast", _config(d_tilde=-3), 0, ""),
+    "final_residual": ("fast", lambda p: {**p, "final_residual": 1e-12}, 0, ""),
+    "epsilon_q-null": ("gc", _config(epsilon_q=None), 0, ""),
+    "epsilon_q": ("gc", _config(epsilon_q=1e-12), 0, ""),
+    "odd-sweep-and-per_layer": (
+        "gc", lambda p: {**p, "sweep": "x", "per_layer": 7}, 0, ""),
+    "json-list": ("fast", lambda p: [p], 2, "field bound is missing"),
+    "no-bound": ("fast", _without("bound"), 2, "field bound is missing"),
+    "bound-beyond-float-range": (
+        "fast", lambda p: {**p, "bound": 10**400}, 2, "outside the float range"),
+    "no-multipliers": (
+        "fast", _without("multipliers"), 2, "field multipliers.gamma is missing"),
+    "gamma-string": (
+        "fast", _multipliers(gamma="4.0"), 2, "field multipliers.gamma is missing"),
+    "lambda-entry-string": (
+        "fast", _multipliers(lambdas=[["x"]]), 2,
+        "field multipliers.lambdas is missing or not lists of numbers"),
+    "top-level-gamma-halved": (
+        "fast", lambda p: {**p, "gamma": 0.5 * p["gamma"]}, 6,
+        "disagrees with multipliers.gamma"),
+}
+
+
 class TestGen:
     def test_writes_network(self, tmp_path, capsys):
         out = tmp_path / "net.json"
@@ -221,6 +280,23 @@ class TestVerify:
         assert main(["verify", "--net", str(net_path), "--report",
                      str(report_path), "--samples", "5"]) == 6
         assert "not PSD at layer 5 " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(REPORT_EDITS))
+    def test_reads_only_the_certificate(self, case, small_reports, tmp_path, capsys):
+        method, edit, code, message = REPORT_EDITS[case]
+        net_path, reports = small_reports
+        report_path = tmp_path / "edited.json"
+        report_path.write_text(json.dumps(edit(reports[method])))
+        capsys.readouterr()
+        assert main(["verify", "--net", str(net_path), "--report",
+                     str(report_path), "--samples", "5"]) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code == 0:
+            assert f"bound={reports[method]['bound']:.12g} " in out
+            assert "psd=True" in out
+        else:
+            assert message in err
 
     def test_report_for_another_network_exit_2(self, tmp_path, capsys):
         _, report_path = self._small_net_and_report(tmp_path)
