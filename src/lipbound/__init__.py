@@ -13,11 +13,9 @@ from .bounds import (
     BoundReport,
     MultiplierSequence,
     StrategyConfig,
-    best_of,
     evaluate,
     product_bound,
     run_recursion,
-    sweep_c,
 )
 from .certify import (
     LmiCertificate,
@@ -59,7 +57,6 @@ __all__ = [
     "ValidationFailed",
     "ValidationReport",
     "assemble_lipsdp",
-    "best_of",
     "empirical_lower_bound",
     "evaluate",
     "forward",
@@ -69,7 +66,6 @@ __all__ = [
     "product_bound",
     "run_recursion",
     "save_network",
-    "sweep_c",
     "validate",
     "verify_feasibility",
 ]

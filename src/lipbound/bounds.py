@@ -21,9 +21,9 @@ points.
              its default sweep covers theta as well as c
 
 ``product``, the product of the layer spectral norms, runs no recursion.
-``sweep_c`` runs one method over a list of points, ``best_of`` keeps the
-smallest bound of product, fast and every sweep, and ``evaluate`` picks
-one of these by name, as the CLI does.
+``evaluate`` is the one entry point: it runs a method by name at a fixed
+c or over a sweep, and ``best`` keeps the smallest bound of every method
+that succeeds.
 
 Every run is internally sequential (a data dependency chain), but distinct
 configurations only read the shared immutable network and are safe to
@@ -132,7 +132,7 @@ def _interp(G, cfg):
 # the interior and near 2; 1.99 (not 2.0) keeps the key inequality strict.
 _C_SWEEP = tuple((round(0.05 * i, 2), 0.5) for i in range(1, 40)) + ((1.99, 0.5),)
 
-# After product, this order is the tie order of best_of.
+# After product, this order is the tie order of best.
 STRATEGIES = {
     "fast": Strategy(lambda G, cfg: _sn(G, 1.0), None),
     "sn": Strategy(lambda G, cfg: _sn(G, cfg.c), (0.0, 2.0), _C_SWEEP),
@@ -195,8 +195,9 @@ def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
     """Run the layer recursion under the given strategy.
 
     Raises DefinitenessLost(layer) if M_{k+1} fails Cholesky, signalling
-    that the multiplier choice violated strict feasibility numerically;
-    sweeps treat that c as infeasible.
+    that the multiplier choice violated strict feasibility numerically, or
+    if an intermediate or the final gamma leaves the float range; sweeps
+    treat that c as infeasible.
     """
     if cfg.method not in STRATEGIES:
         raise ValueError(f"method {cfg.method!r} has no per-layer multiplier")
@@ -210,7 +211,7 @@ def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
     for k in range(l):
         # extreme c values can over/underflow on deep nets; treat any
         # non-finite intermediate as a lost-definiteness grid point
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        with np.errstate(all="ignore"):
             G = gamma_matrix(net.weights[k], L)
             if not np.all(np.isfinite(G)):
                 raise DefinitenessLost(k + 1)
@@ -231,17 +232,14 @@ def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
                 "min_m_diag": float(np.min(np.diag(M))),
             }
         )
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(all="ignore"):
         G_out = gamma_matrix(net.weights[l], L)
-    if not np.all(np.isfinite(G_out)):
-        raise DefinitenessLost(l + 1)
-    if cfg.certified:
-        gamma = spectral_upper_bound(G_out)
-    else:
-        gamma = top_eigenvalue(G_out)
+        if not np.all(np.isfinite(G_out)):
+            raise DefinitenessLost(l + 1)
+        gamma = spectral_upper_bound(G_out) if cfg.certified else top_eigenvalue(G_out)
     # gamma can only be exactly zero when the output layer itself is zero;
     # otherwise it is an underflow artifact, not a valid bound
-    if gamma == 0.0 and np.any(net.weights[l] != 0.0):
+    if not math.isfinite(gamma) or (gamma == 0.0 and np.any(net.weights[l] != 0.0)):
         raise DefinitenessLost(l + 1)
     bound = math.sqrt(max(gamma, 0.0))
     return BoundReport(
@@ -280,7 +278,7 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
         lambdas.append(np.full(net.dims[k + 1], 1.0 / cum if cum > 0.0 else 1.0))
     gamma = bound * bound
     per_layer = [
-        {"layer": k + 1, "stat": s, "min_m_diag": float("nan")}
+        {"layer": k + 1, "stat": s, "min_m_diag": None}
         for k, s in enumerate(sigmas)
     ]
     return BoundReport(
@@ -293,42 +291,57 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
     )
 
 
-def expand_grid(grid) -> list:
-    """Accept an explicit sequence or a {'lo','hi','step'} mapping."""
-    if isinstance(grid, dict):
-        lo, hi, step = float(grid["lo"]), float(grid["hi"]), float(grid["step"])
-        if step <= 0 or hi < lo:
-            raise ValueError("grid requires step > 0 and hi >= lo")
-        n = int(math.floor((hi - lo) / step + 1e-12)) + 1
-        return [lo + i * step for i in range(n)]
-    return [float(c) for c in grid]
-
-
-def sweep_c(
+def evaluate(
     net: Network,
     method: str,
+    c: float | None = None,
     grid=None,
+    grids: dict | None = None,
     jobs: int = 1,
     theta: float = 0.5,
     certified: bool = False,
 ) -> BoundReport:
-    """Evaluate a method over a sweep; return the best report.
+    """One bound by method name, as the CLI computes it.
 
-    ``grid`` lists c values (a sequence or a {'lo','hi','step'} mapping),
-    each run at ``theta``; without it the method's default sweep of (c,
-    theta) points from ``STRATEGIES`` runs.  The first of equal bounds
-    wins.  Every point is recorded in the winning report's ``sweep`` field,
-    with ``theta`` when the method's default sweep varies it; infeasible
-    points (DefinitenessLost) are skipped.  Raises AllInfeasible if every
+    ``product`` is the product bound.  A method that takes no c runs once,
+    as does any method given a fixed ``c``.  Otherwise the method sweeps
+    ``grid``, a list of c values each run at ``theta``, or its default
+    sweep of (c, theta) points from ``STRATEGIES``: the first of equal
+    bounds wins, every point is recorded in the winning report's ``sweep``
+    field (with ``theta`` when the default sweep varies it), and points
+    that lose definiteness are skipped.  Raises AllInfeasible if every
     point fails.
+
+    ``best`` evaluates every method in ``METHODS`` order and keeps the
+    smallest bound, the first of equal bounds winning; a method that fails
+    is left out.  ``grids`` may map a method to the c values that replace
+    its default sweep there.
     """
-    strategy = STRATEGIES.get(method)
-    if strategy is None or not strategy.grid:
-        raise ValueError(f"method {method!r} takes no c sweep")
-    points = strategy.grid if grid is None else [(c, theta) for c in expand_grid(grid)]
+    if method == "best":
+        grids = grids or {}
+        candidates = []
+        for m in METHODS:
+            try:
+                candidates.append(evaluate(net, m, grid=grids.get(m), jobs=jobs,
+                                           certified=certified))
+            except (DefinitenessLost, AllInfeasible):
+                pass
+        return min(candidates, key=lambda r: r.bound)
+    if method == "product":
+        return product_bound(net, certified=certified)
+    if method not in STRATEGIES:
+        raise ValueError(f"unknown method {method!r}")
+    strategy = STRATEGIES[method]
+    if strategy.c_range is None:
+        return run_recursion(net, StrategyConfig(method, certified=certified))
+    if c is not None:
+        return run_recursion(
+            net, StrategyConfig(method, c=c, theta=theta, certified=certified)
+        )
+    points = strategy.grid if grid is None else [(float(v), theta) for v in grid]
     configs = [
-        StrategyConfig(method, c=c, theta=t, certified=certified)
-        for c, t in points
+        StrategyConfig(method, c=v, theta=t, certified=certified)
+        for v, t in points
     ]
 
     def one(cfg: StrategyConfig):
@@ -357,62 +370,6 @@ def sweep_c(
     best = min(feasible, key=lambda r: r.bound)
     best.sweep = {"method": method, "points": trace, "skipped": skipped}
     return best
-
-
-def best_of(
-    net: Network,
-    grids: dict | None = None,
-    jobs: int = 1,
-    certified: bool = False,
-) -> BoundReport:
-    """Best bound of product and every strategy, swept where it has a grid.
-
-    ``grids`` may map a method to the c values that replace its default
-    sweep.  Ties go to the first method in ``METHODS`` order.
-    """
-    grids = grids or {}
-    candidates = [product_bound(net, certified=certified)]
-    for method, strategy in STRATEGIES.items():
-        if not strategy.grid:
-            cfg = StrategyConfig(method, certified=certified)
-            candidates.append(run_recursion(net, cfg))
-            continue
-        try:
-            candidates.append(sweep_c(net, method, grids.get(method), jobs=jobs,
-                                      certified=certified))
-        except AllInfeasible:
-            pass
-    return min(candidates, key=lambda r: r.bound)
-
-
-def evaluate(
-    net: Network,
-    method: str,
-    c: float | None = None,
-    grid=None,
-    jobs: int = 1,
-    theta: float = 0.5,
-    certified: bool = False,
-) -> BoundReport:
-    """One bound by method name, as the CLI computes it.
-
-    ``best`` runs ``best_of`` and ``product`` the product bound.  A method
-    that takes no c runs once, as does any method given a fixed ``c``;
-    otherwise the method sweeps ``grid``, or its default sweep.
-    """
-    if method == "best":
-        return best_of(net, jobs=jobs, certified=certified)
-    if method == "product":
-        return product_bound(net, certified=certified)
-    if method not in STRATEGIES:
-        raise ValueError(f"unknown method {method!r}")
-    if STRATEGIES[method].c_range is None:
-        cfg = StrategyConfig(method, certified=certified)
-    elif c is None:
-        return sweep_c(net, method, grid, jobs=jobs, theta=theta, certified=certified)
-    else:
-        cfg = StrategyConfig(method, c=c, theta=theta, certified=certified)
-    return run_recursion(net, cfg)
 
 
 def report_to_dict(report: BoundReport) -> dict:

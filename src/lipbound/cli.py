@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -136,7 +137,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     grid = None
     if args.sweep is not None:
         lo, hi, step = (float(v) for v in args.sweep.split(":"))
-        grid = {"lo": lo, "hi": hi, "step": step}
+        if not (step > 0 and hi >= lo and math.isfinite(hi - lo)):
+            raise ValueError("--sweep requires step > 0 and finite hi >= lo")
+        grid = [lo + i * step for i in range(math.floor((hi - lo) / step + 1e-12) + 1)]
     t0 = time.perf_counter()
     report = evaluate(
         net, args.method, args.c, grid, jobs=args.jobs, theta=args.theta,

@@ -165,12 +165,16 @@ def _parse_binary(data: bytes) -> Network:
         raise ParseError("bad magic or unsupported binary version")
     if act_idx >= len(ACTIVATIONS):
         raise ParseError("unknown activation code")
-    offset = head.size
-    shapes = []
-    for _ in range(n_layers):
-        rows, cols = struct.unpack_from("<II", data, offset)
-        shapes.append((rows, cols))
-        offset += 8
+    offset = head.size + 8 * n_layers
+    # a truncated table reads as fewer layers, which the length check rejects
+    table = data[head.size:offset]
+    shapes = list(struct.iter_unpack("<II", table[: len(table) - len(table) % 8]))
+    size = offset + 8 * sum(r * c + (r if has_bias else 0) for r, c in shapes)
+    if len(data) != size:
+        raise ParseError(
+            f"binary network file of {len(data)} bytes does not match its "
+            "header and layer table: truncated or trailing bytes"
+        )
     weights = []
     for rows, cols in shapes:
         n = rows * cols
@@ -185,8 +189,6 @@ def _parse_binary(data: bytes) -> Network:
             bs.append(np.frombuffer(data, dtype="<f8", count=rows, offset=offset))
             offset += 8 * rows
         biases = tuple(bs)
-    if offset != len(data):
-        raise ParseError("trailing bytes in binary network file")
     return Network(tuple(weights), biases, ACTIVATIONS[act_idx])
 
 

@@ -10,10 +10,9 @@ import pytest
 
 from lipbound.bounds import (
     StrategyConfig,
-    best_of,
+    evaluate,
     product_bound,
     run_recursion,
-    sweep_c,
 )
 from lipbound.certify import empirical_lower_bound, verify_feasibility
 from lipbound.cli import main as cli_main
@@ -149,12 +148,12 @@ def test_criterion_4_sandwich(sandwich_nets):
     assert time.perf_counter() - t0 < 120.0
 
 
-@criterion(5, "best_of dominates product/fast; some method strictly beats fast")
+@criterion(5, "best dominates product/fast; some method strictly beats fast")
 def test_criterion_5_dominance_and_improvement(
     equivalence_nets, lmi_nets, sandwich_nets
 ):
     for net in equivalence_nets + lmi_nets + sandwich_nets:
-        best = best_of(net, grids=COARSE_GRIDS).bound
+        best = evaluate(net, "best", grids=COARSE_GRIDS).bound
         fast = run_recursion(net, StrategyConfig("fast")).bound
         prod = product_bound(net).bound
         assert best <= min(fast, prod) * (1.0 + 1e-12)
@@ -164,7 +163,7 @@ def test_criterion_5_dominance_and_improvement(
         net = generate_random(depth, 64, 64, 64, seed=0)
         fast = run_recursion(net, StrategyConfig("fast")).bound
         for method in ("sn", "gc", "gcs", "shift"):
-            swept = sweep_c(net, method).bound
+            swept = evaluate(net, method).bound
             if swept <= fast * (1.0 - 1e-3):
                 improved = True
     assert improved

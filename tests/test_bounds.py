@@ -12,20 +12,30 @@ from lipbound.bounds import (
     METHODS,
     STRATEGIES,
     StrategyConfig,
-    best_of,
-    expand_grid,
+    evaluate,
     product_bound,
     report_to_dict,
     run_recursion,
-    sweep_c,
 )
+from lipbound.certify import validate
 from lipbound.cli import read_certificate
-from lipbound.errors import AllInfeasible
+from lipbound.errors import AllInfeasible, DefinitenessLost
 from lipbound.network import Network, generate_random
 
 
 def scalar_net():
     return Network((np.array([[2.0]]), np.array([[3.0]])))
+
+
+def scaled_net(depth, scale):
+    """A width-3 random net with every weight scaled up, to leave float range."""
+    net = generate_random(depth, 3, 3, 2, seed=0)
+    return Network(tuple(scale * W for W in net.weights))
+
+
+def n60():
+    """fast loses definiteness at layer 61; only gc's sweep survives."""
+    return scaled_net(60, 300.0)
 
 
 def sn_closed_form(c):
@@ -267,6 +277,20 @@ class TestRunRecursion:
             assert run_recursion(net, cfg).bound == run_recursion(biased, cfg).bound
         assert product_bound(net).bound == product_bound(biased).bound
 
+    def test_nonfinite_gamma_loses_definiteness(self):
+        # every G stays finite, but the final gamma overflows to inf
+        with pytest.raises(DefinitenessLost) as exc_info:
+            run_recursion(scaled_net(100, 30.0),
+                          StrategyConfig("interp", c=1.0, theta=0.25))
+        assert exc_info.value.layer == 101
+
+    def test_underflowed_multiplier_does_not_warn(self):
+        # interp divides by multipliers that underflow to zero at c=1.9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AllInfeasible):
+                evaluate(scaled_net(100, 30.0), "interp")
+
     def test_interior_zero_layer_completes(self):
         # Gamma = 0 triggers the fallback multiplier f: M = 2*f*I, so the
         # final bound is |W2| / sqrt(2*f)
@@ -278,46 +302,41 @@ class TestRunRecursion:
 class TestSweep:
     def test_scalar_oracle_best_c_is_one(self):
         grid = [round(0.1 * i, 1) for i in range(1, 20)]
-        report = sweep_c(scalar_net(), "sn", grid=grid)
+        report = evaluate(scalar_net(), "sn", grid=grid)
         assert report.config.c == 1.0
         assert abs(report.bound - 6.0) <= 1e-9
 
     def test_single_point_sweep_equals_fast(self):
         net = generate_random(3, 8, 8, 4, seed=2)
         fast = run_recursion(net, StrategyConfig("fast")).bound
-        swept = sweep_c(net, "sn", grid=[1.0]).bound
+        swept = evaluate(net, "sn", grid=[1.0]).bound
         assert abs(swept - fast) <= 1e-12 * fast
 
     def test_sweep_records_grid(self):
-        report = sweep_c(scalar_net(), "sn", grid=[0.5, 1.0, 1.5])
+        report = evaluate(scalar_net(), "sn", grid=[0.5, 1.0, 1.5])
         assert [p["c"] for p in report.sweep["points"]] == [0.5, 1.0, 1.5]
 
     def test_all_infeasible(self):
-        # a network the recursion cannot survive at any grid point: make
-        # every c blow up via non-finite propagation is hard to force, so
-        # use an invalid-but-typed path: empty grid behaves as infeasible
+        # an empty grid has no feasible point
         with pytest.raises(AllInfeasible):
-            sweep_c(scalar_net(), "sn", grid=[])
+            evaluate(scalar_net(), "sn", grid=[])
+        # every default sweep point but gc's leaves the float range on n60
+        for method in ("sn", "gcs", "shift", "interp"):
+            with pytest.raises(AllInfeasible):
+                evaluate(n60(), method)
 
     def test_parallel_matches_serial(self):
         net = generate_random(4, 10, 8, 6, seed=6)
         grid = [0.5, 1.0, 1.5, 1.9]
-        serial = sweep_c(net, "gc", grid=grid)
-        parallel = sweep_c(net, "gc", grid=grid, jobs=4)
+        serial = evaluate(net, "gc", grid=grid)
+        parallel = evaluate(net, "gc", grid=grid, jobs=4)
         assert serial.bound == parallel.bound
         assert serial.config.c == parallel.config.c
 
-    def test_expand_grid_mapping(self):
-        assert expand_grid({"lo": 0.5, "hi": 1.5, "step": 0.5}) == [0.5, 1.0, 1.5]
-
-    def test_product_not_sweepable(self):
-        with pytest.raises(ValueError):
-            sweep_c(scalar_net(), "product")
-
     def test_theta_recorded_only_where_swept(self):
-        sn = sweep_c(scalar_net(), "sn", grid=[0.5, 1.0])
+        sn = evaluate(scalar_net(), "sn", grid=[0.5, 1.0])
         assert [sorted(p) for p in sn.sweep["points"]] == [["bound", "c"]] * 2
-        interp = sweep_c(scalar_net(), "interp", grid=[0.5, 1.0], theta=0.25)
+        interp = evaluate(scalar_net(), "interp", grid=[0.5, 1.0], theta=0.25)
         assert [(p["c"], p["theta"]) for p in interp.sweep["points"]] == [
             (0.5, 0.25), (1.0, 0.25)
         ]
@@ -325,7 +344,7 @@ class TestSweep:
 
 class TestBestOf:
     def test_scalar_oracle_winner_by_tie_order(self):
-        report = best_of(scalar_net())
+        report = evaluate(scalar_net(), "best")
         assert abs(report.bound - 6.0) <= 1e-9
         assert report.method == "product"  # ties break by method order
 
@@ -334,14 +353,14 @@ class TestBestOf:
         grids["shift"] = [1.5, 2.0]
         for seed in range(3):
             net = generate_random(5, 12, 10, 6, seed=seed)
-            best = best_of(net, grids=grids).bound
+            best = evaluate(net, "best", grids=grids).bound
             fast = run_recursion(net, StrategyConfig("fast")).bound
             prod = product_bound(net).bound
             assert best <= min(fast, prod) * (1.0 + 1e-12)
 
     def test_parallel_matches_serial(self):
         net = generate_random(3, 8, 8, 3, seed=5)
-        serial, parallel = best_of(net), best_of(net, jobs=2)
+        serial, parallel = evaluate(net, "best"), evaluate(net, "best", jobs=2)
         assert report_to_dict(serial)["config"] == report_to_dict(parallel)["config"]
         assert (serial.method, serial.bound) == (parallel.method, parallel.bound)
         assert serial.sweep == parallel.sweep
@@ -349,11 +368,28 @@ class TestBestOf:
     def test_default_grid_winner_pinned(self):
         # the winner on this net is an interior interp point; pinned bit for
         # bit to the values of the per-method implementation it replaced
-        report = best_of(generate_random(3, 8, 8, 3, seed=5))
+        report = evaluate(generate_random(3, 8, 8, 3, seed=5), "best")
         assert report.method == "interp"
         assert (report.config.c, report.config.theta) == (1.5, 0.25)
         assert report.bound == 2.350587664095569
         assert len(report.sweep["points"]) == 12
+
+    def test_leaves_out_a_failing_method(self):
+        net = n60()
+        with pytest.raises(DefinitenessLost):
+            evaluate(net, "fast")
+        report = evaluate(net, "best")
+        assert math.isfinite(report.bound)
+        assert (report.method, report.config.c) == ("gc", 1.25)
+        alone = []
+        for method in METHODS:
+            try:
+                alone.append(evaluate(net, method).bound)
+            except (DefinitenessLost, AllInfeasible):
+                pass
+        assert report.bound <= min(alone)
+        vr = validate(net, report.bound, report.multipliers, n_samples=20)
+        assert vr.lmi.psd
 
 
 class TestReportSerialization:

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from lipbound.bounds import METHODS
 from lipbound.cli import _build_parser, main
-from lipbound.network import Network, load_network, save_network
+from lipbound.network import Network, generate_random, load_network, save_network
 
 
 @pytest.fixture
@@ -160,6 +161,40 @@ class TestCompute:
                      "--sweep", "0.5:1.5:0.5", "--o", str(report_path)]) == 0
         payload = json.loads(report_path.read_text())
         assert payload["config"]["c"] == 1.0
+        assert [p["c"] for p in payload["sweep"]["points"]] == [0.5, 1.0, 1.5]
+        for sweep in ("1:0.5:0.1", "0.5:1.5:0", "0:inf:1"):
+            assert main(["compute", "--net", str(oracle_path), "--method", "sn",
+                         "--sweep", sweep]) == 2
+
+    def test_nonfinite_gamma_exit_4(self, tmp_path, capsys):
+        # the final gamma overflows to inf at depth 100 with weights x30
+        net = generate_random(100, 3, 3, 2, seed=0)
+        net_path = tmp_path / "net.json"
+        save_network(Network(tuple(30.0 * W for W in net.weights)), net_path)
+        assert main(["compute", "--net", str(net_path), "--method", "interp",
+                     "--c", "1", "--theta", "0.25"]) == 4
+        assert "lost definiteness at layer 101" in capsys.readouterr().err
+
+    def test_truncated_lnet_exit_2(self, tmp_path, capsys):
+        # the header claims 5 layers, the table holds one (rows, cols) pair
+        path = tmp_path / "net.lnet"
+        path.write_bytes(struct.pack("<4sIBBHI", b"LNET", 1, 1, 0, 0, 5)
+                         + struct.pack("<II", 3, 3))
+        assert len(path.read_bytes()) == 24
+        assert main(["compute", "--net", str(path), "--method", "fast"]) == 2
+        assert "truncated or trailing bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["product", "best"])
+    def test_report_is_strict_json(self, oracle_path, tmp_path, method):
+        report_path = tmp_path / "r.json"
+        assert main(["compute", "--net", str(oracle_path), "--method", method,
+                     "--o", str(report_path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(report_path.read_text(), parse_constant=reject)
+        assert payload["method"] == "product"  # product wins best on the oracle
 
     def test_interp_default_sweep(self, oracle_path, tmp_path, capsys):
         report_path = tmp_path / "r.json"

@@ -113,6 +113,17 @@ class TestPersistence:
         with pytest.raises(ParseError):
             load_network(path)
 
+    @pytest.mark.parametrize("cut", ["table", "data", "trailing"])
+    def test_binary_length_checked(self, tmp_path, cut):
+        path = tmp_path / "net.lnet"
+        save_network(generate_random(2, 3, 3, 2, seed=0), path, binary=True)
+        data = path.read_bytes()
+        # 16-byte header, then a 3-entry layer table of 8 bytes each
+        edited = {"table": data[:28], "data": data[:-8], "trailing": data + b"\0"}
+        path.write_bytes(edited[cut])
+        with pytest.raises(ParseError, match="truncated or trailing bytes"):
+            load_network(path)
+
     def test_parse_error_on_wrong_weight_count(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(
