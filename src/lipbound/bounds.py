@@ -47,6 +47,7 @@ from .linalg import (
     cholesky,
     gamma_matrix,
     gram,
+    pow2_scaled,
     row_abs_sums,
     scaled_row_sums,
     spectral_norm,
@@ -83,7 +84,7 @@ def _row_sum_rule(sums, c):
     """c / row sum, with the fallback on zero rows."""
     lam = np.where(sums > 0.0, c / np.where(sums > 0.0, sums, 1.0),
                    FALLBACK_MULTIPLIER)
-    return lam, float(sums.max()) if sums.size else 0.0
+    return lam, float(sums.max())
 
 
 def _gc(G, cfg):
@@ -111,7 +112,7 @@ def _shift(G, cfg):
         return 1.0 / (t + cfg.c * s), s
     # G diagonal: Lambda^{-1} = T alone would make M_{k+1} exactly singular,
     # so add a small eta to keep the key inequality strict
-    eta = 1e-9 * (1.0 + (float(t.max()) if t.size else 0.0))
+    eta = 1e-9 * (1.0 + float(t.max()))
     return 1.0 / (t + eta), 0.0
 
 
@@ -125,7 +126,7 @@ def _interp(G, cfg):
     lam_sn, _ = _sn(G, cfg.c)
     lam_gc, _ = _gc(G, cfg)
     inv = cfg.theta / lam_sn + (1.0 - cfg.theta) / lam_gc
-    return 1.0 / inv, float(inv.max()) if inv.size else 0.0
+    return 1.0 / inv, float(inv.max())
 
 
 # c interval edges are covered densely because reported winners sit both in
@@ -257,26 +258,36 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
 
     The matching LipSDP feasible point is Lambda_k = I / prod_{m<=k}
     sigma_max(W_m)^2 with gamma the squared product, so product reports can
-    be verified through the same feasibility machinery.
+    be verified through the same feasibility machinery.  Raises
+    DefinitenessLost(k) if a cumulative product, its multiplier or gamma is
+    not finite, or is zero without an all-zero layer.
     """
     t0 = time.perf_counter()
     cfg = StrategyConfig("product", certified=certified)
     sigmas = []
     for W in net.weights:
         if certified:
-            sigmas.append(math.sqrt(spectral_upper_bound(gram(W))))
+            scaled, e = pow2_scaled(W)
+            sigmas.append(math.ldexp(math.sqrt(spectral_upper_bound(gram(scaled))), e))
         else:
             sigmas.append(spectral_norm(W))
-    bound = 1.0
-    for s in sigmas:
-        bound *= s
+    bound = math.prod(sigmas)
+
+    def check(k, *values):
+        if not all(map(math.isfinite, values)) or (
+                0.0 in values and 0.0 not in sigmas[:k]):
+            raise DefinitenessLost(k)
+
     lambdas = []
     cum = 1.0
     for k in range(net.depth):
-        cum *= sigmas[k] ** 2
+        cum *= sigmas[k] * sigmas[k]  # s ** 2 raises OverflowError
         # zero layers collapse the product; any positive diagonal works there
-        lambdas.append(np.full(net.dims[k + 1], 1.0 / cum if cum > 0.0 else 1.0))
+        lam = 1.0 / cum if cum > 0.0 else 1.0
+        check(k + 1, cum, lam)
+        lambdas.append(np.full(net.dims[k + 1], lam))
     gamma = bound * bound
+    check(net.depth + 1, gamma)
     per_layer = [
         {"layer": k + 1, "stat": s, "min_m_diag": None}
         for k, s in enumerate(sigmas)
@@ -326,6 +337,8 @@ def evaluate(
                                            certified=certified))
             except (DefinitenessLost, AllInfeasible):
                 pass
+        if not candidates:
+            raise AllInfeasible("every method failed")
         return min(candidates, key=lambda r: r.bound)
     if method == "product":
         return product_bound(net, certified=certified)

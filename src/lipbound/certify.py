@@ -161,6 +161,8 @@ def empirical_lower_bound(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     n0 = net.dims[0]
     best = jacobian_sigma(net, np.zeros(n0))
     for i in range(n_samples):
@@ -189,7 +191,8 @@ def validate(
     DimensionMismatch if the multipliers do not fit the network.  Fails hard
     (ValidationFailed) if the bound, gamma or a multiplier is not finite, if
     the bound is inconsistent with gamma, if the feasibility matrix is not
-    PSD, or if the empirical lower bound exceeds the bound.
+    PSD (gamma = 0 with a nonzero output layer never is), or if the
+    empirical lower bound exceeds the bound.
     """
     bound = float(bound)
     lambdas = _checked_lambdas(net, ms)
@@ -202,6 +205,9 @@ def validate(
         raise ValidationFailed(
             f"bound {bound} inconsistent with gamma {ms.gamma}"
         )
+    # a PSD matrix with a zero diagonal entry has a zero row
+    if ms.gamma == 0.0 and np.any(net.weights[-1] != 0.0):
+        raise ValidationFailed("gamma is 0 but the output layer is not zero")
     lmi = verify_feasibility(net, ms)
     if not lmi.psd:
         where = (

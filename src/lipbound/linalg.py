@@ -65,8 +65,6 @@ def top_eigenvalue(S: np.ndarray) -> float:
     NotConverged if LAPACK reports failure (``info > 0``).
     """
     n = S.shape[0]
-    if n == 0:
-        return 0.0
     w, _, _, _, info = dsyevr(S, compute_v=0, range="I", il=n, iu=n)
     if info > 0:
         raise NotConverged(f"dsyevr failed to converge (info={info})")
@@ -83,9 +81,16 @@ def gram(W: np.ndarray) -> np.ndarray:
     return W @ W.T if W.shape[0] <= W.shape[1] else W.T @ W
 
 
+def pow2_scaled(W: np.ndarray) -> tuple:
+    """(W / 2**e, e) with 2**e just above W's largest entry: exact, safe to square."""
+    e = math.frexp(float(np.abs(W).max()))[1]
+    return np.ldexp(W, -e), e
+
+
 def spectral_norm(W: np.ndarray) -> float:
     """Largest singular value of a (possibly rectangular) matrix."""
-    return math.sqrt(max(top_eigenvalue(gram(W)), 0.0))
+    scaled, e = pow2_scaled(W)
+    return math.ldexp(math.sqrt(max(top_eigenvalue(gram(scaled)), 0.0)), e)
 
 
 def row_abs_sums(G: np.ndarray) -> np.ndarray:

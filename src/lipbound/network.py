@@ -63,9 +63,9 @@ _DERIV = {
 class Network:
     """Immutable dense feedforward network W_1..W_{l+1} (+ optional biases).
 
-    The one place a network's data is checked: shapes must chain and every
-    weight and bias must be finite, so the kernels downstream need not
-    re-check them.
+    The one place a network's data is checked: shapes must chain, every
+    layer needs a row and a column, and every weight and bias must be
+    finite, so the kernels downstream need not re-check them.
     """
 
     weights: tuple
@@ -79,8 +79,8 @@ class Network:
             raise DimensionChainError(0, "network needs at least one weight matrix")
         weights = tuple(np.asarray(W, dtype=np.float64) for W in self.weights)
         for k, W in enumerate(weights):
-            if W.ndim != 2:
-                raise DimensionChainError(k + 1, f"weight {k + 1} is not a matrix")
+            if W.ndim != 2 or W.size == 0:
+                raise DimensionChainError(k + 1, f"weight {k + 1} is empty or not 2-D")
             if k > 0 and W.shape[1] != weights[k - 1].shape[0]:
                 raise DimensionChainError(
                     k + 1,
@@ -129,7 +129,6 @@ def _parse_json(text: str) -> Network:
     activation = obj.get("activation", "tanh")
     weights = []
     biases = []
-    any_bias = False
     for k, layer in enumerate(layers):
         try:
             rows, cols = int(layer["rows"]), int(layer["cols"])
@@ -141,17 +140,10 @@ def _parse_json(text: str) -> Network:
                 f"layer {k + 1}: expected {rows * cols} weights, got {flat.size}"
             )
         weights.append(flat.reshape(rows, cols))
-        if "bias" in layer:
-            any_bias = True
-            b = np.asarray(layer["bias"], dtype=np.float64)
-            if b.shape != (rows,):
-                raise ParseError(f"layer {k + 1}: bias length mismatch")
-            biases.append(b)
-        else:
-            biases.append(np.zeros(rows))
+        biases.append(np.asarray(layer.get("bias", np.zeros(rows)), dtype=np.float64))
     return Network(
         weights=tuple(weights),
-        biases=tuple(biases) if any_bias else None,
+        biases=tuple(biases) if any("bias" in layer for layer in layers) else None,
         activation=activation,
     )
 

@@ -206,6 +206,30 @@ class TestFloatRange:
         for bound in bounds:
             assert abs(bound - 1e80) <= 1e-12 * 1e80
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["P80", "TINY", "HUGE"])
+    def test_out_of_range_product_refused(self, float_range_nets, name):
+        net = float_range_nets[name]
+        for certified in (False, True):
+            with pytest.raises(DefinitenessLost):
+                product_bound(net, certified=certified)
+        with pytest.raises(AllInfeasible, match="every method failed"):
+            evaluate(net, "best")
+
+    def test_underflowed_product_leaves_best_to_a_recursion(self, float_range_nets):
+        net = float_range_nets["MIXED"]
+        with pytest.raises(DefinitenessLost, match="layer 1"):
+            product_bound(net)
+        report = evaluate(net, "best")
+        assert report.method != "product" and 0.0 < report.bound < math.inf
+        assert validate(net, report.bound, report.multipliers, n_samples=20).lmi.psd
+
+    def test_overflowing_multiplier_refused(self):
+        # the cumulative product 2**-1040 is positive, its inverse overflows
+        net = Network((2.0**-520 * np.eye(2), np.eye(2)))
+        with pytest.raises(DefinitenessLost, match="layer 1"):
+            product_bound(net)
+
 
 class TestRunRecursion:
     def test_fast_scalar_oracle(self):

@@ -214,6 +214,11 @@ class TestEmpiricalLowerBound:
         with pytest.raises(ValueError):
             empirical_lower_bound(scalar_net(), 0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+    def test_radius_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            empirical_lower_bound(scalar_net(), 5, radius=radius)
+
 
 class TestValidate:
     def test_tight_scalar_oracle(self):
@@ -236,6 +241,15 @@ class TestValidate:
         report.bound *= 0.5
         with pytest.raises(ValidationFailed):
             validate(net, report.bound, report.multipliers, n_samples=5, seed=0)
+
+    def test_zero_gamma_needs_a_zero_output_layer(self, float_range_nets):
+        # TINY's true constant is about 1e-400 > 0, which no float gamma states
+        tiny = MultiplierSequence([np.ones(2)], 0.0)
+        with pytest.raises(ValidationFailed, match="gamma is 0"):
+            validate(float_range_nets["TINY"], 0.0, tiny, n_samples=5)
+        zero_out = Network((np.array([[2.0]]), np.array([[0.0]])))
+        report = run_recursion(zero_out, StrategyConfig("fast"))
+        assert validate(zero_out, 0.0, report.multipliers, n_samples=5).lmi.psd
 
     def test_lmi_runs_past_2000_dimensions(self):
         net = generate_random(20, 100, 100, 10, seed=12)

@@ -166,6 +166,11 @@ class TestCompute:
             assert main(["compute", "--net", str(oracle_path), "--method", "sn",
                          "--sweep", sweep]) == 2
 
+    def test_c_and_sweep_exclusive(self, oracle_path, capsys):
+        assert main(["compute", "--net", str(oracle_path), "--method", "gc",
+                     "--c", "1.5", "--sweep", "0.5:1.0:0.5"]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_nonfinite_gamma_exit_4(self, tmp_path, capsys):
         # the final gamma overflows to inf at depth 100 with weights x30
         net = generate_random(100, 3, 3, 2, seed=0)
@@ -333,6 +338,13 @@ class TestVerify:
         else:
             assert message in err
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+    def test_radius_finite_and_positive(self, oracle_path, tmp_path, capsys, radius):
+        report_path = self._compute_report(oracle_path, tmp_path)
+        assert main(["verify", "--net", str(oracle_path), "--report", str(report_path),
+                     "--samples", "5", "--radius", radius]) == 2
+        assert "radius must be finite and positive" in capsys.readouterr().err
+
     def test_report_for_another_network_exit_2(self, tmp_path, capsys):
         _, report_path = self._small_net_and_report(tmp_path)
         deep_path, _ = self._small_net_and_report(tmp_path, layers=30)
@@ -398,6 +410,75 @@ class TestNonFiniteNetwork:
         assert f"layer {layer} has a non-finite" in capsys.readouterr().err
 
 
+class TestFloatRangeNets:
+    """Nets whose product bound leaves the float range, through the CLI."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["P80", "TINY", "HUGE"])
+    def test_product_exit_4_best_exit_5(self, float_range_nets, tmp_path, capsys, name):
+        net_path = tmp_path / "net.json"
+        save_network(float_range_nets[name], net_path)
+        assert main(["compute", "--net", str(net_path), "--method", "product"]) == 4
+        assert main(["compute", "--net", str(net_path), "--method", "best"]) == 5
+        assert "every method failed" in capsys.readouterr().err
+
+    def test_mixed_best_verifies(self, float_range_nets, tmp_path, capsys):
+        net_path, report_path = tmp_path / "net.json", tmp_path / "r.json"
+        save_network(float_range_nets["MIXED"], net_path)
+        assert main(["compute", "--net", str(net_path), "--method", "best",
+                     "--o", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["method"] != "product"
+        assert main(["verify", "--net", str(net_path), "--report", str(report_path),
+                     "--samples", "20"]) == 0
+        assert "psd=True" in capsys.readouterr().out
+
+    def test_tiny_bound_zero_report_exit_6(self, float_range_nets, tmp_path, capsys):
+        net_path, report_path = tmp_path / "net.json", tmp_path / "r.json"
+        save_network(float_range_nets["TINY"], net_path)
+        report_path.write_text(json.dumps(
+            {"bound": 0.0, "multipliers": {"lambdas": [[1.0, 1.0]], "gamma": 0.0}}
+        ))
+        assert main(["verify", "--net", str(net_path), "--report", str(report_path),
+                     "--samples", "5"]) == 6
+        assert "gamma is 0" in capsys.readouterr().err
+
+
+class TestZeroWidthNetwork:
+    """A layer without rows or columns is bad input in both file formats."""
+
+    @staticmethod
+    def _write(tmp_path, fmt):
+        """Dims 3 -> 0 -> 2: layer 1 has no rows, layer 2 no columns."""
+        if fmt == "json":
+            path = tmp_path / "net.json"
+            path.write_text(json.dumps({"layers": [
+                {"rows": 0, "cols": 3, "weights": []},
+                {"rows": 2, "cols": 0, "weights": []},
+            ]}))
+        else:
+            path = tmp_path / "net.lnet"
+            path.write_bytes(struct.pack("<4sIBBHI", b"LNET", 1, 1, 0, 0, 2)
+                             + struct.pack("<IIII", 0, 3, 2, 0))
+        return path
+
+    @pytest.mark.parametrize("fmt", ["json", "lnet"])
+    @pytest.mark.parametrize("command", [
+        ["compute", "--method", "product"],
+        ["compute", "--method", "best"],
+        ["verify", "--samples", "5"],
+    ], ids=["product", "best", "verify"])
+    def test_exit_2_names_layer(self, tmp_path, capsys, fmt, command):
+        argv = [command[0], "--net", str(self._write(tmp_path, fmt)), *command[1:]]
+        if command[0] == "verify":
+            report_path = tmp_path / "r.json"
+            report_path.write_text(json.dumps(
+                {"bound": 1.0, "multipliers": {"lambdas": [[]], "gamma": 1.0}}
+            ))
+            argv += ["--report", str(report_path)]
+        assert main(argv) == 2
+        assert "weight 1 is empty or not 2-D" in capsys.readouterr().err
+
+
 class TestBench:
     def test_csv_schema_and_ordering(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -415,17 +496,24 @@ class TestBench:
         manifest = json.loads((tmp_path / "bench.manifest.json").read_text())
         assert manifest["command"] == "bench"
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        args = ["bench", "--depths", "2", "--widths", "5", "--seeds", "0,1",
-                "--methods", "fast,gc"]
-        assert main(args + ["--o", str(serial)]) == 0
-        assert main(args + ["--jobs", "4", "--o", str(parallel)]) == 0
-        with open(serial, newline="") as fh:
-            s_rows = list(csv.DictReader(fh))
-        with open(parallel, newline="") as fh:
-            p_rows = list(csv.DictReader(fh))
-        assert [r["bound"] for r in s_rows] == [r["bound"] for r in p_rows]
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--activation", "relu"]],
+                             ids=["jobs", "activation"])
+    def test_removed_flags_exit_2(self, tmp_path, flag):
+        assert main(["bench", "--depths", "2", "--widths", "3", *flag,
+                     "--o", str(tmp_path / "b.csv")]) == 2
+
+    def test_one_network_per_grid_point(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate_random(*args, **kwargs)
+
+        monkeypatch.setattr("lipbound.cli.generate_random", counting)
+        assert main(["bench", "--depths", "3,2", "--widths", "4", "--seeds", "1,0",
+                     "--methods", "fast,gc,product",
+                     "--o", str(tmp_path / "b.csv")]) == 0
+        assert sorted(calls) == [(d, 4, 4, 4, s) for d in (2, 3) for s in (0, 1)]
 
     def test_c_flags_and_defaults(self):
         args = _subparser("bench").parse_args(["--depths", "2", "--widths", "3"])

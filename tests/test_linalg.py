@@ -92,9 +92,6 @@ class TestTopEigenvalue:
         sigma = top_eigenvalue(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert abs(sigma - 2.0) <= 1e-14
 
-    def test_empty(self):
-        assert top_eigenvalue(np.zeros((0, 0))) == 0.0
-
     def test_nan_entry_not_converged(self):
         with pytest.raises(NotConverged):
             top_eigenvalue(np.array([[1.0, np.nan], [np.nan, 1.0]]))
@@ -198,3 +195,9 @@ class TestSpectralNorm:
             W = rng.standard_normal(shape)
             expect = float(np.linalg.svd(W, compute_uv=False)[0])
             assert abs(spectral_norm(W) - expect) <= 1e-8 * max(expect, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
+    def test_exact_where_the_gram_product_leaves_float_range(self, scale):
+        assert spectral_norm(scale * np.eye(3)) == scale
+        assert spectral_norm(scale * np.ones((1, 4))) == 2.0 * scale

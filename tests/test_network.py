@@ -42,6 +42,13 @@ class TestNetworkModel:
         with pytest.raises(DimensionChainError):
             Network(())
 
+    @pytest.mark.parametrize("shapes, layer", [([(0, 3), (2, 0)], 1),
+                                               ([(2, 3), (0, 2)], 2)])
+    def test_zero_width_layer_rejected(self, shapes, layer):
+        with pytest.raises(DimensionChainError, match=f"weight {layer} is empty") as e:
+            Network(tuple(np.zeros(shape) for shape in shapes))
+        assert e.value.layer == layer
+
     def test_bad_activation(self):
         with pytest.raises(ValueError):
             Network((np.eye(2),), activation="softplus")
