@@ -25,11 +25,8 @@ points.
 c or over a sweep, and ``best`` keeps the smallest bound of every method
 that succeeds.
 
-Every run is internally sequential (a data dependency chain), but distinct
-configurations only read the shared immutable network and are safe to
-execute concurrently.  Reductions are deterministic: the first of equal
-bounds wins, in grid order within a sweep and in ``METHODS`` order across
-methods.
+Reductions are deterministic: the first of equal bounds wins, in grid
+order within a sweep and in ``METHODS`` order across methods.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,7 +256,9 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
     sigma_max(W_m)^2 with gamma the squared product, so product reports can
     be verified through the same feasibility machinery.  Raises
     DefinitenessLost(k) if a cumulative product, its multiplier or gamma is
-    not finite, or is zero without an all-zero layer.
+    not finite, if a cumulative product is zero without an all-zero layer,
+    or, as in ``run_recursion``, if gamma is zero under a nonzero output
+    layer, where no feasible point has a zero gamma.
     """
     t0 = time.perf_counter()
     cfg = StrategyConfig("product", certified=certified)
@@ -272,6 +270,9 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
         else:
             sigmas.append(spectral_norm(W))
     bound = math.prod(sigmas)
+    gamma = bound * bound
+    if not math.isfinite(gamma) or (gamma == 0.0 and np.any(net.weights[-1] != 0.0)):
+        raise DefinitenessLost(net.depth + 1)
 
     def check(k, *values):
         if not all(map(math.isfinite, values)) or (
@@ -286,8 +287,6 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
         lam = 1.0 / cum if cum > 0.0 else 1.0
         check(k + 1, cum, lam)
         lambdas.append(np.full(net.dims[k + 1], lam))
-    gamma = bound * bound
-    check(net.depth + 1, gamma)
     per_layer = [
         {"layer": k + 1, "stat": s, "min_m_diag": None}
         for k, s in enumerate(sigmas)
@@ -302,13 +301,17 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
     )
 
 
+def takes_c(method: str) -> bool:
+    """Whether a method's multiplier rule reads c, so that it can sweep."""
+    return method in STRATEGIES and STRATEGIES[method].c_range is not None
+
+
 def evaluate(
     net: Network,
     method: str,
     c: float | None = None,
     grid=None,
     grids: dict | None = None,
-    jobs: int = 1,
     theta: float = 0.5,
     certified: bool = False,
 ) -> BoundReport:
@@ -317,23 +320,28 @@ def evaluate(
     ``product`` is the product bound.  A method that takes no c runs once,
     as does any method given a fixed ``c``.  Otherwise the method sweeps
     ``grid``, a list of c values each run at ``theta``, or its default
-    sweep of (c, theta) points from ``STRATEGIES``: the first of equal
-    bounds wins, every point is recorded in the winning report's ``sweep``
-    field (with ``theta`` when the default sweep varies it), and points
-    that lose definiteness are skipped.  Raises AllInfeasible if every
-    point fails.
+    sweep of (c, theta) points from ``STRATEGIES``, one point after another
+    in grid order: the first of equal bounds wins, every point is recorded
+    in the winning report's ``sweep`` field (with ``theta`` when the default
+    sweep varies it), and points that lose definiteness are skipped.
+    Raises AllInfeasible if every point fails, and ValueError if ``c`` or
+    ``grid`` is given to a method that takes no c.
 
     ``best`` evaluates every method in ``METHODS`` order and keeps the
     smallest bound, the first of equal bounds winning; a method that fails
     is left out.  ``grids`` may map a method to the c values that replace
     its default sweep there.
     """
+    if method != "best" and method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if (c is not None or grid is not None) and not takes_c(method):
+        raise ValueError(f"method {method!r} takes no c and no sweep")
     if method == "best":
         grids = grids or {}
         candidates = []
         for m in METHODS:
             try:
-                candidates.append(evaluate(net, m, grid=grids.get(m), jobs=jobs,
+                candidates.append(evaluate(net, m, grid=grids.get(m),
                                            certified=certified))
             except (DefinitenessLost, AllInfeasible):
                 pass
@@ -342,8 +350,6 @@ def evaluate(
         return min(candidates, key=lambda r: r.bound)
     if method == "product":
         return product_bound(net, certified=certified)
-    if method not in STRATEGIES:
-        raise ValueError(f"unknown method {method!r}")
     strategy = STRATEGIES[method]
     if strategy.c_range is None:
         return run_recursion(net, StrategyConfig(method, certified=certified))
@@ -352,35 +358,23 @@ def evaluate(
             net, StrategyConfig(method, c=c, theta=theta, certified=certified)
         )
     points = strategy.grid if grid is None else [(float(v), theta) for v in grid]
-    configs = [
-        StrategyConfig(method, c=v, theta=t, certified=certified)
-        for v, t in points
-    ]
-
-    def one(cfg: StrategyConfig):
-        try:
-            return run_recursion(net, cfg)
-        except DefinitenessLost as exc:
-            return exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, configs))
-    else:
-        results = [one(cfg) for cfg in configs]
-
     with_theta = len({t for _, t in strategy.grid}) > 1
-    trace, skipped = [], []
-    for cfg, res in zip(configs, results):
-        point = {"c": cfg.c, "theta": cfg.theta} if with_theta else {"c": cfg.c}
-        lost = isinstance(res, DefinitenessLost)
-        if lost:
-            skipped.append([cfg.c, cfg.theta] if with_theta else cfg.c)
-        trace.append({**point, "bound": None if lost else res.bound})
-    feasible = [r for r in results if not isinstance(r, DefinitenessLost)]
-    if not feasible:
-        raise AllInfeasible(f"all {len(configs)} grid points infeasible for {method!r}")
-    best = min(feasible, key=lambda r: r.bound)
+    best, trace, skipped = None, [], []
+    for v, t in points:
+        point = {"c": v, "theta": t} if with_theta else {"c": v}
+        try:
+            report = run_recursion(
+                net, StrategyConfig(method, c=v, theta=t, certified=certified)
+            )
+        except DefinitenessLost:
+            trace.append({**point, "bound": None})
+            skipped.append([v, t] if with_theta else v)
+            continue
+        trace.append({**point, "bound": report.bound})
+        if best is None or report.bound < best.bound:
+            best = report
+    if best is None:
+        raise AllInfeasible(f"all {len(points)} grid points infeasible for {method!r}")
     best.sweep = {"method": method, "points": trace, "skipped": skipped}
     return best
 

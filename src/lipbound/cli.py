@@ -7,11 +7,12 @@ Subcommands:
 - ``verify``   independently check a report's certificate against its network
 - ``bench``    sweep depth/width/seed grids and emit a CSV
 
-Exit codes: 0 success, 2 invalid arguments, unreadable input format, a
+Exit codes: 0 success, 2 invalid arguments (among them ``--c`` or
+``--sweep`` for a method that takes no c), unreadable input format, a
 network with a non-finite entry or an empty layer, a malformed report or one
 that does not fit its network, 3 I/O failure, 4 definiteness lost without a
-sweep fallback, 5 all sweep points (or, for ``best``, all methods) failed,
-6 validation failed.
+sweep fallback, 5 all sweep points (for ``best``, all methods; for
+``bench``, all rows) failed, 6 validation failed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import METHODS, MultiplierSequence, evaluate, report_to_dict
+from .bounds import METHODS, MultiplierSequence, evaluate, report_to_dict, takes_c
 from .certify import _GAMMA_RTOL, DEFAULT_RADIUS, validate
 from .errors import (
     AllInfeasible,
@@ -86,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c_or_sweep.add_argument("--sweep", default=None, metavar="LO:HI:STEP")
     comp.add_argument("--theta", type=float, default=0.5)
     comp.add_argument("--certified", action="store_true")
-    comp.add_argument("--jobs", type=int, default=1)
     comp.add_argument("--o", dest="output", default=None)
 
     ver = sub.add_parser("verify", help="verify a bound report")
@@ -138,8 +138,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         grid = [lo + i * step for i in range(math.floor((hi - lo) / step + 1e-12) + 1)]
     t0 = time.perf_counter()
     report = evaluate(
-        net, args.method, args.c, grid, jobs=args.jobs, theta=args.theta,
-        certified=args.certified,
+        net, args.method, args.c, grid, theta=args.theta, certified=args.certified
     )
     elapsed = time.perf_counter() - t0
     payload = report_to_dict(report)
@@ -230,9 +229,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                    "c": "", "bound": "", "seconds": "", "certified": args.certified,
                    "status": "ok"}
             try:
+                c = getattr(args, f"c_{method}", 1.0) if takes_c(method) else None
                 t0 = time.perf_counter()
-                report = evaluate(net, method, getattr(args, f"c_{method}", 1.0),
-                                  certified=args.certified)
+                report = evaluate(net, method, c, certified=args.certified)
                 row["seconds"] = f"{time.perf_counter() - t0:.6f}"
                 row["bound"] = f"{report.bound:.12g}"
                 row["c"] = "" if method == "product" else f"{report.config.c:g}"
@@ -247,7 +246,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     manifest_path.write_text(json.dumps(_manifest("bench", args), indent=2) + "\n")
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"wrote {args.output}: {n_ok}/{len(rows)} rows ok")
-    return EXIT_OK if n_ok > 0 else 1
+    return EXIT_OK if n_ok > 0 else EXIT_INFEASIBLE
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,7 @@
 
 Everything here operates on float64 numpy arrays at desk scale; there is no
 sparse path and no iterative solver: factorizations and eigenvalues come
-straight from LAPACK.  All functions are pure, so values are safe to share
-across threads.
+straight from LAPACK.
 
 The kernels trust their callers and check nothing but LAPACK's own status.
 Every matrix must be float64 and finite, square where the kernel takes a

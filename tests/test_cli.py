@@ -35,8 +35,9 @@ def small_reports(tmp_path_factory):
     reports = {}
     for method in ("fast", "gc"):
         path = root / f"{method}.json"
+        c = ["--c", "1"] if method == "gc" else []
         assert main(["compute", "--net", str(net_path), "--method", method,
-                     "--c", "1", "--o", str(path)]) == 0
+                     *c, "--o", str(path)]) == 0
         reports[method] = json.loads(path.read_text())
     return net_path, reports
 
@@ -170,6 +171,24 @@ class TestCompute:
         assert main(["compute", "--net", str(oracle_path), "--method", "gc",
                      "--c", "1.5", "--sweep", "0.5:1.0:0.5"]) == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,flag", [
+        ("best", ["--sweep", "0.5:0.5:1"]),
+        ("best", ["--c", "0.5"]),
+        ("fast", ["--c", "0.3"]),
+        ("fast", ["--sweep", "0.5:1.5:0.5"]),
+        ("product", ["--c", "7"]),
+    ], ids=["best-sweep", "best-c", "fast-c", "fast-sweep", "product-c"])
+    def test_c_or_sweep_without_c_exit_2(self, tmp_path, capsys, method, flag):
+        net_path = tmp_path / "net.json"
+        save_network(generate_random(3, 8, 8, 3, seed=5), net_path)
+        assert main(["compute", "--net", str(net_path), "--method", method,
+                     *flag]) == 2
+        assert f"method {method!r} takes no c" in capsys.readouterr().err
+
+    def test_jobs_removed_exit_2(self, oracle_path):
+        assert main(["compute", "--net", str(oracle_path), "--method", "gc",
+                     "--jobs", "2"]) == 2
 
     def test_nonfinite_gamma_exit_4(self, tmp_path, capsys):
         # the final gamma overflows to inf at depth 100 with weights x30
@@ -414,7 +433,7 @@ class TestFloatRangeNets:
     """Nets whose product bound leaves the float range, through the CLI."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("name", ["P80", "TINY", "HUGE"])
+    @pytest.mark.parametrize("name", ["P80", "TINY", "HUGE", "ZERO_HUGE"])
     def test_product_exit_4_best_exit_5(self, float_range_nets, tmp_path, capsys, name):
         net_path = tmp_path / "net.json"
         save_network(float_range_nets[name], net_path)
@@ -425,6 +444,18 @@ class TestFloatRangeNets:
     def test_mixed_best_verifies(self, float_range_nets, tmp_path, capsys):
         net_path, report_path = tmp_path / "net.json", tmp_path / "r.json"
         save_network(float_range_nets["MIXED"], net_path)
+        assert main(["compute", "--net", str(net_path), "--method", "best",
+                     "--o", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["method"] != "product"
+        assert main(["verify", "--net", str(net_path), "--report", str(report_path),
+                     "--samples", "20"]) == 0
+        assert "psd=True" in capsys.readouterr().out
+
+    def test_zero_product_left_out_and_best_verifies(self, float_range_nets, tmp_path,
+                                                     capsys):
+        net_path, report_path = tmp_path / "net.json", tmp_path / "r.json"
+        save_network(float_range_nets["ZERO"], net_path)
+        assert main(["compute", "--net", str(net_path), "--method", "product"]) == 4
         assert main(["compute", "--net", str(net_path), "--method", "best",
                      "--o", str(report_path)]) == 0
         assert json.loads(report_path.read_text())["method"] != "product"
@@ -501,6 +532,12 @@ class TestBench:
     def test_removed_flags_exit_2(self, tmp_path, flag):
         assert main(["bench", "--depths", "2", "--widths", "3", *flag,
                      "--o", str(tmp_path / "b.csv")]) == 2
+
+    def test_every_row_failed_exit_5(self, tmp_path, capsys):
+        # fast loses definiteness on this deep net, so no row is ok
+        assert main(["bench", "--depths", "1500", "--widths", "4", "--methods", "fast",
+                     "--o", str(tmp_path / "b.csv")]) == 5
+        assert "0/1 rows ok" in capsys.readouterr().out
 
     def test_one_network_per_grid_point(self, tmp_path, monkeypatch):
         calls = []
