@@ -9,8 +9,8 @@ sqrt(sigma_max(W_{l+1} M_{l+1}^{-1} W_{l+1}^T)).
 
 The strategies are one family of closed-form LipSDP feasible points.
 ``STRATEGIES`` holds one record per method: its rule for Lambda_k, the
-open interval its ``c`` must lie in, and its default sweep of (c, theta)
-points.
+open interval its ``c`` must lie in, its default sweep of (c, theta)
+points, and whether the rule reads theta (``reads``).
 
 - ``fast``   Lambda = I / sigma_max(G); takes no c and has no sweep
 - ``sn``     Lambda = c I / sigma_max(G), c in (0, 2); fast is c = 1
@@ -18,15 +18,14 @@ points.
 - ``gcs``    scaled Gershgorin with Q = diag(G) (zero entries replaced)
 - ``shift``  Lambda_ii = 1 / (G_ii/2 + c * sigma_max(G/2 - diag(G)/2)), c > 1
 - ``interp`` convex combination of the sn and gc choices in Lambda^{-1};
-             its default sweep covers theta as well as c
+             the one rule that reads theta, which its default sweep covers
 
 ``product``, the product of the layer spectral norms, runs no recursion.
 ``evaluate`` is the one entry point: it runs a method by name at a fixed
-c or over a sweep, and ``best`` keeps the smallest bound of every method
-that succeeds.
+c or over a sweep, and ``best`` is one sweep over every method's points.
 
 Reductions are deterministic: the first of equal bounds wins, in grid
-order within a sweep and in ``METHODS`` order across methods.
+order within a method and in ``METHODS`` order across methods.
 """
 
 from __future__ import annotations
@@ -34,10 +33,11 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import certifies_nothing
 from .errors import AllInfeasible, DefinitenessLost, NotPositiveDefinite
 from .linalg import (
     cholesky,
@@ -60,6 +60,7 @@ class Strategy:
     select: Callable  # (G, cfg) -> (Lambda as a 1-D array, per-layer stat)
     c_range: tuple | None  # open interval for c; None when the rule takes no c
     grid: tuple = ()  # default sweep as (c, theta) points; empty: no sweep
+    reads_theta: bool = False  # whether the rule reads theta as well as c
 
 
 # The multiplier on a coordinate that G leaves at zero (a zero matrix for
@@ -142,6 +143,7 @@ STRATEGIES = {
     "interp": Strategy(  # theta-major, then c
         _interp, (0.0, 2.0),
         tuple((c, t) for t in (0.25, 0.5, 0.75) for c in (0.5, 1.0, 1.5, 1.9)),
+        reads_theta=True,
     ),
 }
 
@@ -185,7 +187,7 @@ class BoundReport:
     per_layer: list
     wall_time: float
     multipliers: MultiplierSequence
-    sweep: dict | None = field(default=None)
+    sweep: dict | None = None
 
 
 def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
@@ -234,9 +236,7 @@ def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
         if not np.all(np.isfinite(G_out)):
             raise DefinitenessLost(l + 1)
         gamma = spectral_upper_bound(G_out) if cfg.certified else top_eigenvalue(G_out)
-    # gamma can only be exactly zero when the output layer itself is zero;
-    # otherwise it is an underflow artifact, not a valid bound
-    if not math.isfinite(gamma) or (gamma == 0.0 and np.any(net.weights[l] != 0.0)):
+    if certifies_nothing(gamma, net):
         raise DefinitenessLost(l + 1)
     bound = math.sqrt(max(gamma, 0.0))
     return BoundReport(
@@ -271,7 +271,7 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
             sigmas.append(spectral_norm(W))
     bound = math.prod(sigmas)
     gamma = bound * bound
-    if not math.isfinite(gamma) or (gamma == 0.0 and np.any(net.weights[-1] != 0.0)):
+    if certifies_nothing(gamma, net):
         raise DefinitenessLost(net.depth + 1)
 
     def check(k, *values):
@@ -301,9 +301,10 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
     )
 
 
-def takes_c(method: str) -> bool:
-    """Whether a method's multiplier rule reads c, so that it can sweep."""
-    return method in STRATEGIES and STRATEGIES[method].c_range is not None
+def reads(method: str) -> tuple:
+    """The parameters a method's rule reads: (), ("c",) or ("c", "theta")."""
+    s = STRATEGIES.get(method)
+    return () if s is None or s.c_range is None else ("c", "theta")[:1 + s.reads_theta]
 
 
 def evaluate(
@@ -312,70 +313,64 @@ def evaluate(
     c: float | None = None,
     grid=None,
     grids: dict | None = None,
-    theta: float = 0.5,
+    theta: float | None = None,
     certified: bool = False,
 ) -> BoundReport:
     """One bound by method name, as the CLI computes it.
 
     ``product`` is the product bound.  A method that takes no c runs once,
-    as does any method given a fixed ``c``.  Otherwise the method sweeps
-    ``grid``, a list of c values each run at ``theta``, or its default
-    sweep of (c, theta) points from ``STRATEGIES``, one point after another
-    in grid order: the first of equal bounds wins, every point is recorded
-    in the winning report's ``sweep`` field (with ``theta`` when the default
-    sweep varies it), and points that lose definiteness are skipped.
-    Raises AllInfeasible if every point fails, and ValueError if ``c`` or
-    ``grid`` is given to a method that takes no c.
+    as does any method given a fixed ``c``; a failure there propagates.
+    Otherwise the method sweeps ``grid``, a list of c values each run at
+    ``theta``, or its default sweep of (c, theta) points from
+    ``STRATEGIES``.  ``best`` sweeps ``product``, then ``fast``, then each
+    default sweep in ``METHODS`` order; ``grids`` may map a method to the c
+    values that replace its default sweep there.  A sweep runs one point
+    after another, and the first strictly smaller bound wins.  The winning
+    report's ``sweep`` field records every point in order: its method, the
+    parameters that method reads (``reads``) and its bound, None where the
+    point lost definiteness.  ``wall_time`` covers the whole evaluation.
 
-    ``best`` evaluates every method in ``METHODS`` order and keeps the
-    smallest bound, the first of equal bounds winning; a method that fails
-    is left out.  ``grids`` may map a method to the c values that replace
-    its default sweep there.
+    Raises AllInfeasible if every point fails, and ValueError if ``c`` or
+    ``grid`` is given to a method that takes no c, or ``theta`` to any
+    but a method that reads it, at a fixed ``c`` or over a ``grid``.
     """
+    t0 = time.perf_counter()
     if method != "best" and method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if (c is not None or grid is not None) and not takes_c(method):
+    fixed = c is not None or grid is not None
+    if fixed and not reads(method):
         raise ValueError(f"method {method!r} takes no c and no sweep")
-    if method == "best":
-        grids = grids or {}
-        candidates = []
-        for m in METHODS:
+    if theta is not None and not (fixed and "theta" in reads(method)):
+        raise ValueError(f"method {method!r} takes no theta here: only a method "
+                         "that reads it does, at a fixed c or over a c grid")
+    single = method != "best" and (c is not None or not reads(method))
+
+    def points_of(m):
+        own = (grids or {}).get(m) if method == "best" else grid if c is None else [c]
+        if own is None or not reads(m):
+            return STRATEGIES[m].grid if reads(m) else [(1.0, 0.5)]
+        return [(float(v), 0.5 if theta is None else theta) for v in own]
+
+    best, points = None, []
+    for m in METHODS if method == "best" else (method,):
+        for v, t in points_of(m):
+            cfg = StrategyConfig(m, c=v, theta=t, certified=certified)
             try:
-                candidates.append(evaluate(net, m, grid=grids.get(m),
-                                           certified=certified))
-            except (DefinitenessLost, AllInfeasible):
-                pass
-        if not candidates:
-            raise AllInfeasible("every method failed")
-        return min(candidates, key=lambda r: r.bound)
-    if method == "product":
-        return product_bound(net, certified=certified)
-    strategy = STRATEGIES[method]
-    if strategy.c_range is None:
-        return run_recursion(net, StrategyConfig(method, certified=certified))
-    if c is not None:
-        return run_recursion(
-            net, StrategyConfig(method, c=c, theta=theta, certified=certified)
-        )
-    points = strategy.grid if grid is None else [(float(v), theta) for v in grid]
-    with_theta = len({t for _, t in strategy.grid}) > 1
-    best, trace, skipped = None, [], []
-    for v, t in points:
-        point = {"c": v, "theta": t} if with_theta else {"c": v}
-        try:
-            report = run_recursion(
-                net, StrategyConfig(method, c=v, theta=t, certified=certified)
-            )
-        except DefinitenessLost:
-            trace.append({**point, "bound": None})
-            skipped.append([v, t] if with_theta else v)
-            continue
-        trace.append({**point, "bound": report.bound})
-        if best is None or report.bound < best.bound:
-            best = report
+                report = (product_bound(net, certified) if m == "product"
+                          else run_recursion(net, cfg))
+            except DefinitenessLost:
+                if single:
+                    raise
+                report = None
+            points.append({"method": m, **{p: getattr(cfg, p) for p in reads(m)},
+                           "bound": None if report is None else report.bound})
+            if report is not None and (best is None or report.bound < best.bound):
+                best = report
     if best is None:
-        raise AllInfeasible(f"all {len(points)} grid points infeasible for {method!r}")
-    best.sweep = {"method": method, "points": trace, "skipped": skipped}
+        raise AllInfeasible("every method failed" if method == "best" else
+                            f"all {len(points)} grid points infeasible for {method!r}")
+    best.sweep = None if single else {"method": method, "points": points}
+    best.wall_time = time.perf_counter() - t0
     return best
 
 

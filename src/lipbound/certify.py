@@ -48,6 +48,12 @@ class ValidationReport:
     lmi: LmiCertificate
 
 
+def certifies_nothing(gamma: float, net: Network) -> bool:
+    """Whether gamma is not finite, or 0 under a nonzero output layer: no PSD
+    feasibility matrix has that, since a zero diagonal entry means a zero row."""
+    return not math.isfinite(gamma) or (gamma == 0.0 and bool(np.any(net.weights[-1])))
+
+
 def _checked_lambdas(net: Network, ms) -> list:
     """The multipliers as float arrays, checked against the layer widths."""
     dims = net.dims
@@ -189,15 +195,19 @@ def validate(
 
     Reads nothing about how the run was configured.  Raises
     DimensionMismatch if the multipliers do not fit the network.  Fails hard
-    (ValidationFailed) if the bound, gamma or a multiplier is not finite, if
-    the bound is inconsistent with gamma, if the feasibility matrix is not
-    PSD (gamma = 0 with a nonzero output layer never is), or if the
-    empirical lower bound exceeds the bound.
+    (ValidationFailed) if the bound is not finite, if gamma certifies
+    nothing (``certifies_nothing``), if a multiplier is not finite, if the
+    bound is inconsistent with gamma, if the feasibility matrix is not PSD,
+    or if the empirical lower bound exceeds the bound.
     """
     bound = float(bound)
     lambdas = _checked_lambdas(net, ms)
-    if not (math.isfinite(bound) and math.isfinite(ms.gamma)):
-        raise ValidationFailed(f"non-finite bound {bound} or gamma {ms.gamma}")
+    if not math.isfinite(bound) or certifies_nothing(ms.gamma, net):
+        raise ValidationFailed(
+            "gamma is 0 but the output layer is not zero"
+            if ms.gamma == 0.0 and math.isfinite(bound)
+            else f"non-finite bound {bound} or gamma {ms.gamma}"
+        )
     for k, lam in enumerate(lambdas, start=1):
         if not np.all(np.isfinite(lam)):
             raise ValidationFailed(f"non-finite multiplier in layer {k}")
@@ -205,9 +215,6 @@ def validate(
         raise ValidationFailed(
             f"bound {bound} inconsistent with gamma {ms.gamma}"
         )
-    # a PSD matrix with a zero diagonal entry has a zero row
-    if ms.gamma == 0.0 and np.any(net.weights[-1] != 0.0):
-        raise ValidationFailed("gamma is 0 but the output layer is not zero")
     lmi = verify_feasibility(net, ms)
     if not lmi.psd:
         where = (

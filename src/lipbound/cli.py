@@ -8,7 +8,8 @@ Subcommands:
 - ``bench``    sweep depth/width/seed grids and emit a CSV
 
 Exit codes: 0 success, 2 invalid arguments (among them ``--c`` or
-``--sweep`` for a method that takes no c), unreadable input format, a
+``--sweep`` for a method that takes no c, and ``--theta`` anywhere but with
+``--c`` or ``--sweep`` for a method that reads theta), unreadable input, a
 network with a non-finite entry or an empty layer, a malformed report or one
 that does not fit its network, 3 I/O failure, 4 definiteness lost without a
 sweep fallback, 5 all sweep points (for ``best``, all methods; for
@@ -23,7 +24,6 @@ import itertools
 import json
 import math
 import sys
-import time
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import METHODS, MultiplierSequence, evaluate, report_to_dict, takes_c
+from .bounds import METHODS, MultiplierSequence, evaluate, reads, report_to_dict
 from .certify import _GAMMA_RTOL, DEFAULT_RADIUS, validate
 from .errors import (
     AllInfeasible,
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c_or_sweep = comp.add_mutually_exclusive_group()
     c_or_sweep.add_argument("--c", type=float, default=None)
     c_or_sweep.add_argument("--sweep", default=None, metavar="LO:HI:STEP")
-    comp.add_argument("--theta", type=float, default=0.5)
+    comp.add_argument("--theta", type=float, default=None)
     comp.add_argument("--certified", action="store_true")
     comp.add_argument("--o", dest="output", default=None)
 
@@ -136,19 +136,17 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if not (step > 0 and hi >= lo and math.isfinite(hi - lo)):
             raise ValueError("--sweep requires step > 0 and finite hi >= lo")
         grid = [lo + i * step for i in range(math.floor((hi - lo) / step + 1e-12) + 1)]
-    t0 = time.perf_counter()
     report = evaluate(
         net, args.method, args.c, grid, theta=args.theta, certified=args.certified
     )
-    elapsed = time.perf_counter() - t0
     payload = report_to_dict(report)
     payload["manifest"] = _manifest("compute", args)
     if args.output:
         Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    theta = f"theta={report.config.theta:g} " if report.method == "interp" else ""
+    theta = f"theta={report.config.theta:g} " if "theta" in reads(report.method) else ""
     print(
         f"method={report.method} c={report.config.c:g} {theta}"
-        f"bound={report.bound:.12g} time={elapsed:.3f}s"
+        f"bound={report.bound:.12g} time={report.wall_time:.3f}s"
     )
     return EXIT_OK
 
@@ -229,10 +227,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                    "c": "", "bound": "", "seconds": "", "certified": args.certified,
                    "status": "ok"}
             try:
-                c = getattr(args, f"c_{method}", 1.0) if takes_c(method) else None
-                t0 = time.perf_counter()
+                c = getattr(args, f"c_{method}", 1.0) if reads(method) else None
                 report = evaluate(net, method, c, certified=args.certified)
-                row["seconds"] = f"{time.perf_counter() - t0:.6f}"
+                row["seconds"] = f"{report.wall_time:.6f}"
                 row["bound"] = f"{report.bound:.12g}"
                 row["c"] = "" if method == "product" else f"{report.config.c:g}"
             except LipboundError as exc:

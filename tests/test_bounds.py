@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -366,19 +367,39 @@ class TestSweep:
 
     def test_skipped_points_recorded_in_grid_order(self):
         report = evaluate(n60(), "gc")  # part of gc's default sweep is lost
+        assert sorted(report.sweep) == ["method", "points"]  # no skipped list
         points = report.sweep["points"]
         assert [p["c"] for p in points] == [c for c, _ in STRATEGIES["gc"].grid]
-        lost = [p["c"] for p in points if p["bound"] is None]
-        assert lost and report.sweep["skipped"] == lost
+        assert {p["method"] for p in points} == {"gc"}
+        assert any(p["bound"] is None for p in points)
         assert report.bound == min(p["bound"] for p in points if p["bound"] is not None)
 
     def test_theta_recorded_only_where_swept(self):
+        # a point records the parameters its method reads, and only interp
+        # reads theta
         sn = evaluate(scalar_net(), "sn", grid=[0.5, 1.0])
-        assert [sorted(p) for p in sn.sweep["points"]] == [["bound", "c"]] * 2
+        assert [sorted(p) for p in sn.sweep["points"]] == [["bound", "c", "method"]] * 2
         interp = evaluate(scalar_net(), "interp", grid=[0.5, 1.0], theta=0.25)
         assert [(p["c"], p["theta"]) for p in interp.sweep["points"]] == [
             (0.5, 0.25), (1.0, 0.25)
         ]
+
+    @pytest.mark.parametrize("method,kwargs", [
+        ("gc", {"c": 1.0}), ("gc", {}), ("fast", {}), ("product", {}),
+        ("best", {}), ("interp", {}),
+    ], ids=["gc-c", "gc", "fast", "product", "best", "interp-default-sweep"])
+    def test_theta_refused_where_not_read(self, method, kwargs):
+        with pytest.raises(ValueError, match="takes no theta"):
+            evaluate(scalar_net(), method, theta=0.3, **kwargs)
+
+    @pytest.mark.parametrize("method", ["gc", "best"])
+    def test_wall_time_covers_the_whole_evaluation(self, method):
+        net = generate_random(3, 8, 8, 3, seed=5)
+        t0 = time.perf_counter()
+        report = evaluate(net, method)
+        elapsed = time.perf_counter() - t0
+        # one point of the sweep would take a fraction of it
+        assert 0.5 * elapsed <= report.wall_time <= elapsed
 
 
 class TestBestOf:
@@ -404,7 +425,25 @@ class TestBestOf:
         assert report.method == "interp"
         assert (report.config.c, report.config.theta) == (1.5, 0.25)
         assert report.bound == 2.350587664095569
-        assert len(report.sweep["points"]) == 12
+        assert len(report.sweep["points"]) == 142
+
+    def test_one_sweep_over_every_method_point(self):
+        net = generate_random(3, 8, 8, 3, seed=5)
+        report = evaluate(net, "best")
+        assert report.sweep["method"] == "best"
+        points = report.sweep["points"]
+        expected = [("product", None, None), ("fast", None, None)] + [
+            (m, c, t if m == "interp" else None)
+            for m in METHODS[2:] for c, t in STRATEGIES[m].grid
+        ]
+        assert len(expected) == 142
+        assert [(p["method"], p.get("c"), p.get("theta")) for p in points] == expected
+        bounds = [p["bound"] for p in points]
+        first = bounds.index(min(b for b in bounds if b is not None))
+        winner = points[first]
+        assert (report.method, report.bound) == (winner["method"], winner["bound"])
+        assert (report.config.c, report.config.theta) == (
+            winner.get("c", 1.0), winner.get("theta", 0.5))
 
     def test_leaves_out_a_failing_method(self):
         net = n60()

@@ -242,6 +242,16 @@ class TestValidate:
         with pytest.raises(ValidationFailed):
             validate(net, report.bound, report.multipliers, n_samples=5, seed=0)
 
+    def test_certifies_nothing(self):
+        # one rule for run_recursion, product_bound and validate
+        net = scalar_net()
+        zero_out = Network((np.array([[2.0]]), np.array([[0.0]])))
+        for gamma in (float("inf"), float("nan"), 0.0):
+            assert certify.certifies_nothing(gamma, net)
+        assert not certify.certifies_nothing(36.0, net)
+        assert not certify.certifies_nothing(0.0, zero_out)
+        assert certify.certifies_nothing(float("inf"), zero_out)
+
     def test_zero_gamma_needs_a_zero_output_layer(self, float_range_nets):
         # TINY's true constant is about 1e-400 > 0, which no float gamma states
         tiny = MultiplierSequence([np.ones(2)], 0.0)

@@ -186,6 +186,43 @@ class TestCompute:
                      *flag]) == 2
         assert f"method {method!r} takes no c" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--method", "gc", "--c", "1", "--theta", "0.3"],
+        ["--method", "fast", "--theta", "7"],
+        ["--method", "best", "--theta", "0.3"],
+        ["--method", "interp", "--theta", "0.3"],
+    ], ids=["gc-c", "fast", "best", "interp-default-sweep"])
+    def test_theta_where_not_read_exit_2(self, oracle_path, tmp_path, capsys, flags):
+        report_path = tmp_path / "r.json"
+        assert main(["compute", "--net", str(oracle_path), *flags,
+                     "--o", str(report_path)]) == 2
+        assert "takes no theta" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("flags,points", [
+        (["--c", "1", "--theta", "0.3"], None),
+        (["--sweep", "0.5:1.5:0.5", "--theta", "0.25"], [0.5, 1.0, 1.5]),
+    ], ids=["c", "sweep"])
+    def test_interp_theta_with_c_or_sweep(self, oracle_path, tmp_path, capsys,
+                                          flags, points):
+        report_path = tmp_path / "r.json"
+        assert main(["compute", "--net", str(oracle_path), "--method", "interp",
+                     *flags, "--o", str(report_path)]) == 0
+        payload = json.loads(report_path.read_text())
+        theta = float(flags[-1])
+        assert payload["config"]["theta"] == theta
+        assert f" theta={theta:g} " in capsys.readouterr().out
+        if points is None:
+            assert payload["sweep"] is None
+        else:
+            assert [(p["c"], p["theta"]) for p in payload["sweep"]["points"]] == [
+                (c, theta) for c in points
+            ]
+
+    def test_theta_printed_only_for_interp(self, oracle_path, capsys):
+        assert main(["compute", "--net", str(oracle_path), "--method", "gc"]) == 0
+        assert "theta=" not in capsys.readouterr().out
+
     def test_jobs_removed_exit_2(self, oracle_path):
         assert main(["compute", "--net", str(oracle_path), "--method", "gc",
                      "--jobs", "2"]) == 2
@@ -227,9 +264,9 @@ class TestCompute:
         payload = json.loads(report_path.read_text())
         points = payload["sweep"]["points"]
         assert len(points) == 12
-        assert all(sorted(p) == ["bound", "c", "theta"] for p in points)
-        winner = {"c": payload["config"]["c"], "theta": payload["config"]["theta"],
-                  "bound": payload["bound"]}
+        assert all(sorted(p) == ["bound", "c", "method", "theta"] for p in points)
+        winner = {"method": "interp", "c": payload["config"]["c"],
+                  "theta": payload["config"]["theta"], "bound": payload["bound"]}
         assert winner in points
         line = capsys.readouterr().out
         assert f"method=interp c={winner['c']:g} theta={winner['theta']:g} " in line
