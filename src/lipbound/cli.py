@@ -23,12 +23,14 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bounds import METHODS, MultiplierSequence, evaluate, reads, report_to_dict
@@ -42,6 +44,7 @@ from .errors import (
     ParseError,
     ValidationFailed,
 )
+from .linalg import openblas_threads
 from .network import generate_random, load_network, save_network
 
 EXIT_OK = 0
@@ -58,6 +61,12 @@ def _manifest(command: str, args: argparse.Namespace) -> dict:
         "args": vars(args),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
+        "numeric": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "openblas": openblas_threads(),
+        },
     }
 
 

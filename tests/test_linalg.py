@@ -1,13 +1,22 @@
 """Unit and property tests for the dense linear-algebra kernels."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lipbound
+from lipbound.cli import main
 from lipbound.errors import NotConverged, NotPositiveDefinite
 from lipbound.linalg import (
     cholesky,
     gamma_matrix,
     gram,
+    openblas_threads,
     row_abs_sums,
     scaled_row_sums,
     spectral_norm,
@@ -201,3 +210,58 @@ class TestSpectralNorm:
     def test_exact_where_the_gram_product_leaves_float_range(self, scale):
         assert spectral_norm(scale * np.eye(3)) == scale
         assert spectral_norm(scale * np.ones((1, 4))) == 2.0 * scale
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _threads_after_import(**variables) -> list:
+    """Thread counts of every loaded OpenBLAS after `import lipbound` in a new process.
+
+    The child starts with neither thread variable set, plus ``variables``.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(variables)
+    src = str(Path(lipbound.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, lipbound; from lipbound.linalg import openblas_threads; "
+            "print(json.dumps(openblas_threads()))")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    libraries = json.loads(child.stdout)
+    if not libraries:
+        pytest.skip("numpy and scipy load no OpenBLAS here")
+    return [lib["threads"] for lib in libraries]
+
+
+class TestOpenblasThreads:
+    def test_import_pins_every_openblas_to_one_thread(self):
+        threads = _threads_after_import()
+        assert threads == [1] * len(threads)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps threads at cores")
+    @pytest.mark.parametrize("variable", THREAD_VARIABLES)
+    def test_user_thread_count_left_in_force(self, variable):
+        threads = _threads_after_import(**{variable: "2"})
+        assert threads == [2] * len(threads)
+
+    def test_manifest_numeric_block_is_strict_json(self, tmp_path):
+        net, report, verified = (tmp_path / name for name in ("net.json", "r.json", "v.json"))
+        assert main(["gen", "--layers", "2", "--width", "4", "--in", "3", "--out", "2",
+                     "--seed", "0", "--o", str(net)]) == 0
+        assert main(["compute", "--net", str(net), "--method", "fast",
+                     "--o", str(report)]) == 0
+        assert main(["verify", "--net", str(net), "--report", str(report),
+                     "--samples", "5", "--o", str(verified)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        for path in (report, verified):
+            numeric = json.loads(path.read_text(), parse_constant=reject)["manifest"]["numeric"]
+            assert set(numeric) == {"numpy", "scipy", "cpu_count", "openblas"}
+            assert numeric["numpy"] == np.__version__
+            assert numeric["cpu_count"] == os.cpu_count()
+            assert numeric["openblas"] == openblas_threads()
+            assert all(isinstance(lib["threads"], int) and lib["threads"] >= 1
+                       for lib in numeric["openblas"])
