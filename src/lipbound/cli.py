@@ -30,7 +30,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bounds import METHODS, MultiplierSequence, evaluate, reads, report_to_dict
@@ -63,7 +62,6 @@ def _manifest(command: str, args: argparse.Namespace) -> dict:
         "tool_version": __version__,
         "numeric": {
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
             "openblas": openblas_threads(),
         },

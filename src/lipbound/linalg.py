@@ -4,17 +4,24 @@ Everything here operates on float64 numpy arrays at desk scale; there is no
 sparse path and no iterative solver: factorizations and eigenvalues come
 straight from LAPACK.
 
-The kernels trust their callers and check nothing but LAPACK's own status.
-Every matrix must be float64 and finite, square where the kernel takes a
-square matrix, and exactly symmetric where its name or docstring says
-symmetric: ``cholesky`` reads only the lower triangle, ``top_eigenvalue``
-only the upper, and the row sums read both.  A triangular factor is read
-from its lower triangle only.  Networks are checked once where they are
-built (``Network``), and the recursion checks its own intermediates.
+The kernels trust their callers and check nothing but LAPACK's own status
+and the shapes they hand to it.  Every matrix must be float64 and finite,
+square where the kernel takes a square matrix, and exactly symmetric where
+its name or docstring says symmetric: ``cholesky`` reads only the lower
+triangle, ``top_eigenvalue`` only the upper, and the row sums read both.  A
+triangular factor is read from its lower triangle only.  Networks are
+checked once where they are built (``Network``), and the recursion checks
+its own intermediates.
 
-numpy and scipy each bundle an OpenBLAS with its own thread pool, and every
-layer step hands work from one to the other, so on import this module pins
-every loaded OpenBLAS to one thread (see ``_pin_openblas_threads``).
+LAPACK is numpy's own: numpy 2 wheels bundle an ILP64 OpenBLAS whose
+symbols carry a ``scipy_`` prefix and a ``64_`` suffix, and the LAPACKE
+routines below are bound from it through ctypes, column-major with 64-bit
+integers, so LAPACKE hands each call straight to LAPACK.  The library is
+reached through numpy's extension module, whose symbol lookup searches the
+libraries it links.  Import fails, naming the symbol, where numpy's BLAS
+lacks one of them (an MKL or Accelerate build of numpy, say).  On import
+this module also pins that OpenBLAS to one thread (see
+``_pin_openblas_threads``).
 """
 
 from __future__ import annotations
@@ -24,12 +31,44 @@ import math
 import os
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dsyevr, dtrtrs
+from numpy._core import _multiarray_umath
 
 from .errors import NotConverged, NotPositiveDefinite
 
+_NUMPY_BLAS = ctypes.CDLL(_multiarray_umath.__file__)
+_COL_MAJOR = 102
+_INT, _DOUBLE, _PTR, _CHAR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
+
 # Either variable, when set, is the user's thread count and is left in force.
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _bind(symbol: str, restype, argtypes: list):
+    """``symbol`` from numpy's BLAS; ImportError naming it if missing."""
+    try:
+        fn = getattr(_NUMPY_BLAS, symbol)
+    except AttributeError:
+        raise ImportError(
+            f"numpy's BLAS exports no {symbol}: lipbound needs the OpenBLAS "
+            "bundled with numpy>=2.0"
+        ) from None
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+def _lapacke(routine: str, argtypes: list):
+    """LAPACKE's ``<routine>_work``: no NaN scan, no workspace allocation."""
+    return _bind(f"scipy_LAPACKE_{routine}_work64_", _INT, [ctypes.c_int, *argtypes])
+
+
+_dpotrf = _lapacke("dpotrf", [_CHAR, _INT, _PTR, _INT])
+_dlaset = _lapacke("dlaset", [_CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _PTR, _INT])
+_dtrtrs = _lapacke("dtrtrs", [_CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT])
+_dsyevr = _lapacke("dsyevr", [
+    _CHAR, _CHAR, _CHAR, _INT, _PTR, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE,
+    _PTR, _PTR, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT,
+])
+_set_num_threads = _bind("scipy_openblas_set_num_threads64_", None, [ctypes.c_int])
 
 
 def _openblas_libraries() -> list:
@@ -68,7 +107,11 @@ def _openblas_function(lib, stem: str, restype, argtypes: list):
 
 
 def openblas_threads() -> list:
-    """Each loaded OpenBLAS: its file name, build configuration and thread count."""
+    """Each loaded OpenBLAS: its file name, build configuration and thread count.
+
+    Lists every copy the process has mapped, so a second one that another
+    import brought in shows up beside numpy's.
+    """
     found = []
     for name, lib in _openblas_libraries():
         threads = _openblas_function(lib, "get_num_threads", ctypes.c_int, [])
@@ -82,40 +125,49 @@ def openblas_threads() -> list:
 
 
 def _pin_openblas_threads() -> None:
-    """Set every loaded OpenBLAS to one thread, unless the user set a count.
+    """Set numpy's OpenBLAS to one thread, unless the user set a count.
 
-    Two pools on the same cores spin against each other: on 2 cores, a
-    10-point ``gc`` sweep at width 160 runs five times faster with one
-    thread each than with two.  The count holds for the whole process,
-    library callers included.  Does nothing off Linux or with a BLAS other
-    than OpenBLAS.
+    The recursion's calls are small and come one after another, so a
+    second thread mostly spins: on 2 cores, ``compute --method best`` on a
+    depth-10 width-64 net takes 1.6 s of CPU time at two threads against
+    1.05 s at one, in the same wall time.  The count holds for the whole
+    process, library callers included.
     """
-    if any(os.environ.get(var) for var in _THREAD_VARIABLES):
-        return
-    for _, lib in _openblas_libraries():
-        set_threads = _openblas_function(lib, "set_num_threads", None, [ctypes.c_int])
-        if set_threads is not None:
-            set_threads(1)
+    if not any(os.environ.get(var) for var in _THREAD_VARIABLES):
+        _set_num_threads(1)
 
 
 _pin_openblas_threads()
 
 
+def _order(S: np.ndarray) -> int:
+    """n of a non-empty n x n matrix; ValueError for any other shape."""
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {S.shape}")
+    return S.shape[0]
+
+
 def cholesky(S: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L with L @ L.T == S, for symmetric S.
 
-    Raises NotPositiveDefinite if any pivot is non-positive, which is how
-    the recursion signals that a multiplier choice violated strict
-    feasibility.
+    L is Fortran-ordered with its strict upper triangle exactly 0.  Raises
+    NotPositiveDefinite if any pivot is non-positive, which is how the
+    recursion signals that a multiplier choice violated strict feasibility.
     """
-    c, info = dpotrf(S, lower=1, clean=1)
+    n = _order(S)
+    L = np.array(S, dtype=np.float64, order="F")
+    address = L.ctypes.data
+    info = _dpotrf(_COL_MAJOR, b"L", n, address, n)
     if info > 0:
         raise NotPositiveDefinite(
             f"leading minor of order {info} is not positive definite"
         )
     if info < 0:  # pragma: no cover - LAPACK argument error
         raise ValueError(f"dpotrf: illegal argument {-info}")
-    return c
+    if n > 1:
+        # L's strict upper triangle is the upper triangle of L[:-1, 1:]
+        _dlaset(_COL_MAJOR, b"U", n - 1, n - 1, 0.0, 0.0, address + 8 * n, n)
+    return L
 
 
 def gamma_matrix(W: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -127,7 +179,12 @@ def gamma_matrix(W: np.ndarray, L: np.ndarray) -> np.ndarray:
     the result is exactly symmetric, as the row sums and eigen-solves
     downstream require.
     """
-    X, info = dtrtrs(L, W.T, lower=1)
+    m, n = W.shape
+    if L.shape != (n, n):
+        raise ValueError(f"factor of shape {L.shape} does not fit W of shape {W.shape}")
+    L = np.asfortranarray(L, dtype=np.float64)
+    X = np.array(W.T, dtype=np.float64, order="F")
+    info = _dtrtrs(_COL_MAJOR, b"L", b"N", b"N", n, m, L.ctypes.data, n, X.ctypes.data, n)
     if info != 0:  # pragma: no cover - a Cholesky factor has no zero pivot
         raise ValueError(f"dtrtrs: info={info}")
     return X.T @ X
@@ -141,8 +198,17 @@ def top_eigenvalue(S: np.ndarray) -> float:
     outside the square root of the float range do not overflow.  Raises
     NotConverged if LAPACK reports failure (``info > 0``).
     """
-    n = S.shape[0]
-    w, _, _, _, info = dsyevr(S, compute_v=0, range="I", il=n, iu=n)
+    n = _order(S)
+    a = np.array(S, dtype=np.float64, order="F")
+    # one buffer of each type: the eigenvalues w (n), the unused vectors
+    # z (1) and the workspace (26n); the count found (1), the unused
+    # support isuppz (2) and the integer workspace (10n)
+    w, ints = np.empty(27 * n + 1), np.empty(10 * n + 3, dtype=np.int64)
+    pw, pi = w.ctypes.data, ints.ctypes.data
+    info = _dsyevr(
+        _COL_MAJOR, b"N", b"I", b"U", n, a.ctypes.data, n, 0.0, 0.0, n, n, 0.0,
+        pi, pw, pw + 8 * n, 1, pi + 8, pw + 8 * (n + 1), 26 * n, pi + 24, 10 * n,
+    )
     if info > 0:
         raise NotConverged(f"dsyevr failed to converge (info={info})")
     if info < 0:  # pragma: no cover - LAPACK argument error

@@ -119,6 +119,108 @@ class TestTopEigenvalue:
                 assert abs(top_eigenvalue(S) - top) <= 1e-12 * max(top, 1.0)
 
 
+def layouts(A):
+    """A C-ordered, a Fortran-ordered and a strided-view version of A."""
+    padded = np.zeros((A.shape[0], 2 * A.shape[1]))
+    padded[:, ::2] = A
+    return np.ascontiguousarray(A), np.asfortranarray(A), padded[:, ::2]
+
+
+class TestLapackBindings:
+    """The ctypes bindings against numpy-only oracles."""
+
+    def test_cholesky_matches_numpy(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 7, 64, 160):
+            S = random_spd(rng, n)
+            L = cholesky(S)
+            np.testing.assert_allclose(L, np.linalg.cholesky(S), rtol=1e-12, atol=1e-12)
+            assert L.flags.f_contiguous
+            assert not np.triu(L, 1).any()
+
+    def test_same_bits_from_every_layout(self):
+        rng = np.random.default_rng(22)
+        n = 33
+        S = random_spd(rng, n)
+        W = rng.standard_normal((10, n))
+        L = cholesky(S)
+        results = [
+            (cholesky(S_), gamma_matrix(W_, L_), top_eigenvalue(S_))
+            for S_, W_, L_ in zip(layouts(S), layouts(W), layouts(L))
+        ]
+        for chol, gamma, top in results[1:]:
+            np.testing.assert_array_equal(chol, results[0][0])
+            np.testing.assert_array_equal(gamma, results[0][1])
+            assert top == results[0][2]
+
+    def test_order_one(self):
+        np.testing.assert_array_equal(cholesky(np.array([[4.0]])), [[2.0]])
+        np.testing.assert_array_equal(
+            gamma_matrix(np.array([[3.0], [-1.0]]), np.array([[2.0]])),
+            [[2.25, -0.75], [-0.75, 0.25]],
+        )
+        assert top_eigenvalue(np.array([[-5.0]])) == -5.0
+
+    def test_indefinite_names_the_failing_order(self):
+        with pytest.raises(NotPositiveDefinite, match="order 3 "):
+            cholesky(np.diag([1.0, 2.0, -1.0, 4.0]))
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(23)
+        S, W = random_spd(rng, 9), rng.standard_normal((4, 9))
+        S0, W0 = S.copy(), W.copy()
+        L = cholesky(S)
+        L0 = L.copy()
+        gamma_matrix(W, L)
+        top_eigenvalue(S)
+        for after, before in ((S, S0), (W, W0), (L, L0)):
+            np.testing.assert_array_equal(after, before)
+
+    def test_read_only_inputs(self):
+        rng = np.random.default_rng(24)
+        S, W = random_spd(rng, 6), rng.standard_normal((3, 6))
+        L = cholesky(S)
+        expect = (gamma_matrix(W, L), top_eigenvalue(S))
+        for A in (S, W, L):
+            A.flags.writeable = False
+        np.testing.assert_array_equal(cholesky(S), L)
+        np.testing.assert_array_equal(gamma_matrix(W, L), expect[0])
+        assert top_eigenvalue(S) == expect[1]
+
+    def test_gamma_of_rectangular_w_against_solve(self):
+        rng = np.random.default_rng(25)
+        n = 64
+        M = random_spd(rng, n)
+        W = rng.standard_normal((10, n))
+        G = gamma_matrix(W, cholesky(M))
+        expect = W @ np.linalg.solve(M, W.T)
+        assert G.shape == (10, 10)
+        np.testing.assert_allclose(G, expect, rtol=1e-9, atol=1e-9 * np.abs(expect).max())
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200], ids=["1", "1e-200", "1e200"])
+    def test_top_eigenvalue_against_eigvalsh(self, scale):
+        # entries near 1e200 square to inf: only LAPACK's internal scaling
+        # keeps the solve finite
+        rng = np.random.default_rng(26)
+        for n in (1, 2, 5, 64, 160):
+            A = rng.standard_normal((n, n))
+            S = scale * (A + A.T)
+            top = float(np.linalg.eigvalsh(S)[-1])
+            assert np.isfinite(top)
+            assert abs(top_eigenvalue(S) - top) <= 1e-12 * np.abs(S).max() * n
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (4,)])
+    def test_shape_checked_before_lapack(self, shape):
+        with pytest.raises(ValueError):
+            cholesky(np.ones(shape))
+        with pytest.raises(ValueError):
+            top_eigenvalue(np.ones(shape))
+
+    def test_gamma_shape_checked_before_lapack(self):
+        with pytest.raises(ValueError):
+            gamma_matrix(np.ones((2, 3)), np.eye(4))
+
+
 class TestRowSums:
     def test_simple(self):
         np.testing.assert_array_equal(
@@ -230,7 +332,7 @@ def _threads_after_import(**variables) -> list:
                            text=True, timeout=120, check=True)
     libraries = json.loads(child.stdout)
     if not libraries:
-        pytest.skip("numpy and scipy load no OpenBLAS here")
+        pytest.skip("no OpenBLAS listed: this platform has no /proc/self/maps")
     return [lib["threads"] for lib in libraries]
 
 
@@ -259,9 +361,33 @@ class TestOpenblasThreads:
 
         for path in (report, verified):
             numeric = json.loads(path.read_text(), parse_constant=reject)["manifest"]["numeric"]
-            assert set(numeric) == {"numpy", "scipy", "cpu_count", "openblas"}
+            assert set(numeric) == {"numpy", "cpu_count", "openblas"}
             assert numeric["numpy"] == np.__version__
             assert numeric["cpu_count"] == os.cpu_count()
             assert numeric["openblas"] == openblas_threads()
             assert all(isinstance(lib["threads"], int) and lib["threads"] >= 1
                        for lib in numeric["openblas"])
+
+
+def test_cli_never_loads_scipy(tmp_path):
+    """A CLI process computes and verifies on numpy alone, with one OpenBLAS."""
+    net, report = tmp_path / "net.json", tmp_path / "r.json"
+    code = f"""
+import json, sys
+from lipbound.cli import main
+assert main(["gen", "--layers", "3", "--width", "8", "--in", "6", "--out", "2",
+             "--seed", "0", "--o", {str(net)!r}]) == 0
+assert main(["compute", "--net", {str(net)!r}, "--method", "best", "--o", {str(report)!r}]) == 0
+assert main(["verify", "--net", {str(net)!r}, "--report", {str(report)!r}, "--samples", "5"]) == 0
+libraries = json.load(open({str(report)!r}))["manifest"]["numeric"]["openblas"]
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), libraries]))
+"""
+    env = dict(os.environ)
+    src = str(Path(lipbound.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    scipy_modules, libraries = json.loads(child.stdout.splitlines()[-1])
+    assert scipy_modules == []
+    if sys.platform.startswith("linux"):
+        assert len(libraries) == 1
