@@ -37,6 +37,7 @@ from .network import (
     Network,
     forward,
     generate_random,
+    jacobian_norms,
     jacobian_sigma,
     load_network,
     save_network,
@@ -61,6 +62,7 @@ __all__ = [
     "evaluate",
     "forward",
     "generate_random",
+    "jacobian_norms",
     "jacobian_sigma",
     "load_network",
     "product_bound",

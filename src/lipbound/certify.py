@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, ValidationFailed
 from .linalg import cholesky, gamma_matrix
-from .network import Network, jacobian_sigma
+from .network import Network, jacobian_norms
 
 DEFAULT_RADIUS = 10.0
 
@@ -153,6 +153,16 @@ def verify_feasibility(net: Network, ms) -> LmiCertificate:
     return LmiCertificate(total, shift, True, min_pivot - shift)
 
 
+def _check_sampling(n_samples: int, radius: float, seed: int) -> None:
+    """ValueError, naming the argument, for a sampling setting that cannot run."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def empirical_lower_bound(
     net: Network,
     n_samples: int,
@@ -162,25 +172,23 @@ def empirical_lower_bound(
     """Max Jacobian spectral norm over sampled inputs (plus the origin).
 
     Points are drawn uniformly from the origin-centered ball.  Each point
-    derives its own generator from (seed, index), so sample sets are nested
-    in n_samples and the result is monotone nondecreasing in it.
+    derives its own generator from (seed, index), and ``jacobian_norms``
+    gives each row the same norm however many rows follow it, so sample
+    sets are nested in n_samples and the result is monotone nondecreasing
+    in it.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius}")
+    _check_sampling(n_samples, radius, seed)
     n0 = net.dims[0]
-    best = jacobian_sigma(net, np.zeros(n0))
+    X = np.zeros((n_samples + 1, n0))
     for i in range(n_samples):
         rng = np.random.default_rng([seed, i])
         direction = rng.standard_normal(n0)
         norm = np.linalg.norm(direction)
-        if norm == 0.0:  # pragma: no cover - measure zero
+        if norm == 0.0:  # pragma: no cover - measure zero; row i + 1 stays 0
             continue
         r = radius * rng.random() ** (1.0 / n0)
-        x = (r / norm) * direction
-        best = max(best, jacobian_sigma(net, x))
-    return best
+        X[i + 1] = (r / norm) * direction
+    return float(jacobian_norms(net, X).max())
 
 
 def validate(
@@ -193,13 +201,15 @@ def validate(
 ) -> ValidationReport:
     """Full independent check of a bound and its certificate ``ms``.
 
-    Reads nothing about how the run was configured.  Raises
+    Reads nothing about how the run was configured.  Raises ValueError
+    first if n_samples, radius or seed cannot be sampled with, then
     DimensionMismatch if the multipliers do not fit the network.  Fails hard
     (ValidationFailed) if the bound is not finite, if gamma certifies
     nothing (``certifies_nothing``), if a multiplier is not finite, if the
     bound is inconsistent with gamma, if the feasibility matrix is not PSD,
     or if the empirical lower bound exceeds the bound.
     """
+    _check_sampling(n_samples, radius, seed)
     bound = float(bound)
     lambdas = _checked_lambdas(net, ms)
     if not math.isfinite(bound) or certifies_nothing(ms.gamma, net):

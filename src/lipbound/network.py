@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionChainError, DimensionMismatch, ParseError
-from .linalg import spectral_norm
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
@@ -280,38 +279,86 @@ def forward(net: Network, x) -> np.ndarray:
     return h
 
 
-def _activation_derivs(net: Network, x: np.ndarray) -> list:
-    """Diagonal activation derivatives D_1..D_l at the given input."""
-    h = x
+# jacobian_norms works on blocks of at most _BLOCK_ROWS sample rows, and
+# on fewer where needed to keep a block's derivative stack and Jacobians
+# within _BLOCK_FLOATS floats.
+_BLOCK_ROWS = 64
+_BLOCK_FLOATS = 1 << 17
+
+
+def _block_rows(dims) -> int:
+    """Rows per block of ``jacobian_norms`` for the dimension chain ``dims``."""
+    per_row = sum(dims[1:-1]) + min(dims[0], dims[-1]) * max(dims)
+    return max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // per_row))
+
+
+def _block_norms(net: Network, X: np.ndarray, rows: int) -> np.ndarray:
+    """Jacobian spectral norms at the rows of X, one block of ``rows`` rows.
+
+    X is padded with origin rows to ``rows`` rows, so every GEMM of the
+    forward pass has the same shape whatever X's length: a row's norm then
+    depends only on the row and its place in the block.
+    """
+    W = net.weights
+    n = X.shape[0]
+    H = np.zeros((rows, X.shape[1]))
+    H[:n] = X
     derivs = []
     for k in range(net.depth):
-        z = net.weights[k] @ h
+        Z = H @ W[k].T
         if net.biases is not None:
-            z = z + net.biases[k]
-        h = _ACT[net.activation](z)
-        derivs.append(_DERIV[net.activation](h))
-    return derivs
+            Z += net.biases[k]
+        H = _ACT[net.activation](Z)
+        derivs.append(_DERIV[net.activation](H[:n]))
+    if net.dims[-1] <= net.dims[0]:
+        J = np.broadcast_to(W[-1], (n,) + W[-1].shape)
+        for k in range(net.depth - 1, -1, -1):
+            J = (J * derivs[k][:, None, :]) @ W[k]
+    else:
+        J = np.broadcast_to(W[0], (n,) + W[0].shape)
+        for k in range(net.depth):
+            J = W[k + 1] @ (derivs[k][:, :, None] * J)
+    # scale each J by a power of two just above its largest entry, so its
+    # Gram matrix can neither overflow nor underflow; exact, as in
+    # linalg.pow2_scaled
+    e = np.frexp(np.abs(J).max(axis=(1, 2)))[1]
+    J = np.ldexp(J, -e[:, None, None])
+    JT = J.transpose(0, 2, 1)
+    G = J @ JT if J.shape[1] <= J.shape[2] else JT @ J
+    top = np.linalg.eigvalsh(G)[:, -1]
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
+
+
+def jacobian_norms(net: Network, X) -> np.ndarray:
+    """Largest singular value of the Jacobian at each row of X.
+
+    J = W_{l+1} D_l W_l ... D_1 W_1 with D_k the activation derivative
+    diagonals.  The rows go through in fixed-size blocks: one GEMM per
+    layer for a block's forward pass, then every J of the block built from
+    its narrow end, so each intermediate product has min(n_out, n_0) rows
+    (or columns), and one batched eigen-solve of the small Gram matrices.
+    Row i's norm is the same bits however many rows follow it, and memory
+    does not grow with the number of rows beyond X and the result.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n0 = net.dims[0]
+    if X.ndim != 2 or X.shape[1] != n0:
+        raise DimensionMismatch(f"inputs must have shape (m, {n0}), got {X.shape}")
+    rows = _block_rows(net.dims)
+    norms = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], rows):
+        norms[start:start + rows] = _block_norms(net, X[start:start + rows], rows)
+    return norms
 
 
 def jacobian_sigma(net: Network, x) -> float:
     """Largest singular value of the Jacobian at x.
 
-    J = W_{l+1} D_l W_l ... D_1 W_1 with D_k the activation derivative
-    diagonals.  J is built from its narrow end, so every intermediate
-    product has min(n_out, n_0) rows (or columns).
+    The one-row case of ``jacobian_norms``, so it agrees bit for bit with
+    the norm that ``jacobian_norms`` gives x in the first row of a block.
     """
     x = np.asarray(x, dtype=np.float64)
     n0 = net.dims[0]
     if x.shape != (n0,):
         raise DimensionMismatch(f"input must have shape ({n0},), got {x.shape}")
-    derivs = _activation_derivs(net, x)
-    W = net.weights
-    if net.dims[-1] <= n0:
-        J = W[-1]
-        for k in range(net.depth - 1, -1, -1):
-            J = (J * derivs[k]) @ W[k]
-    else:
-        J = W[0]
-        for k in range(net.depth):
-            J = W[k + 1] @ (derivs[k][:, None] * J)
-    return spectral_norm(J)
+    return float(jacobian_norms(net, x[None, :])[0])

@@ -1,5 +1,7 @@
 """Tests for feasibility assembly, PSD verification, and empirical bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from lipbound.certify import (
     verify_feasibility,
 )
 from lipbound.errors import DimensionMismatch, ValidationFailed
-from lipbound.network import Network, generate_random
+from lipbound.network import Network, _block_rows, generate_random
 
 
 def scalar_net(activation="tanh"):
@@ -208,11 +210,51 @@ class TestEmpiricalLowerBound:
     def test_monotone_in_sample_count(self):
         net = generate_random(3, 10, 6, 4, seed=9)
         values = [empirical_lower_bound(net, n, seed=3) for n in (1, 5, 20, 50)]
-        assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+        assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_matches_per_point_oracle(self, jacobian_oracle, ball_points):
+        for in_dim, out_dim in ((10, 6), (6, 10)):
+            net = generate_random(3, 12, in_dim, out_dim, seed=4, activation="sigmoid")
+            expect = max(jacobian_oracle(net, x) for x in ball_points(in_dim, 40, 2.0, 5))
+            got = empirical_lower_bound(net, 40, radius=2.0, seed=5)
+            assert abs(got - expect) <= 1e-12 * expect
+
+    def test_sample_norms_do_not_depend_on_sample_count(self, monkeypatch):
+        net = generate_random(3, 10, 6, 4, seed=9)
+        B = _block_rows(net.dims)
+        kernel, seen = certify.jacobian_norms, []
+
+        def recorded(net, X):
+            seen.append(kernel(net, X))
+            return seen[-1]
+
+        monkeypatch.setattr(certify, "jacobian_norms", recorded)
+        counts = (1, 5, B - 1, B, B + 1, 1000)
+        for n in counts:
+            assert empirical_lower_bound(net, n, seed=3) == seen[-1].max()
+        for n, norms in zip(counts, seen):
+            assert norms.shape == (n + 1,)
+            np.testing.assert_array_equal(norms, seen[-1][: n + 1])
+
+    def test_memory_bounded_by_blocks(self):
+        # unblocked, the derivative stack alone would take 5001 x 1920 floats
+        # (77 MB); the sample points themselves take 2.6 MB
+        net = generate_random(30, 64, 64, 10, seed=0)
+        tracemalloc.start()
+        try:
+            empirical_lower_bound(net, 5000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_requires_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
             empirical_lower_bound(scalar_net(), 0)
+
+    def test_seed_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            empirical_lower_bound(scalar_net(), 5, seed=-1)
 
     @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
     def test_radius_finite_and_positive(self, radius):

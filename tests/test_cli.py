@@ -401,6 +401,32 @@ class TestVerify:
                      "--samples", "5", "--radius", radius]) == 2
         assert "radius must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--samples", "0", "n_samples must be at least 1"),
+        ("--radius", "-1", "radius must be finite and positive"),
+        ("--seed", "-1", "seed must be a non-negative integer"),
+    ])
+    def test_sampling_settings_exit_2_before_feasibility(self, tmp_path, capsys,
+                                                           flag, value, message):
+        net_path, report_path = tmp_path / "net.json", tmp_path / "fast.json"
+        assert main(["gen", "--layers", "3", "--width", "8", "--in", "6", "--out",
+                     "3", "--seed", "0", "--o", str(net_path)]) == 0
+        assert main(["compute", "--net", str(net_path), "--method", "fast",
+                     "--o", str(report_path)]) == 0
+        argv = ["verify", "--net", str(net_path), "--report", str(report_path)]
+        capsys.readouterr()
+        assert main([*argv, flag, value]) == 2
+        assert message in capsys.readouterr().err
+        payload = json.loads(report_path.read_text())
+        payload["gamma"] *= 0.5
+        payload["multipliers"]["gamma"] *= 0.5
+        payload["bound"] *= 0.5 ** 0.5
+        report_path.write_text(json.dumps(payload))
+        assert main([*argv, "--samples", "5"]) == 6
+        capsys.readouterr()
+        assert main([*argv, flag, value]) == 2
+        assert message in capsys.readouterr().err
+
     def test_report_for_another_network_exit_2(self, tmp_path, capsys):
         _, report_path = self._small_net_and_report(tmp_path)
         deep_path, _ = self._small_net_and_report(tmp_path, layers=30)

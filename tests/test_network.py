@@ -8,9 +8,9 @@ import pytest
 from lipbound.errors import DimensionChainError, DimensionMismatch, ParseError
 from lipbound.network import (
     Network,
-    _activation_derivs,
     forward,
     generate_random,
+    jacobian_norms,
     jacobian_sigma,
     load_network,
     save_network,
@@ -233,16 +233,13 @@ class TestJacobianSigma:
         assert jacobian_sigma(net, np.array([0.0])) == 0.0
         assert abs(jacobian_sigma(net, np.array([1.0])) - 6.0) <= 1e-12
 
-    def test_narrow_end_matches_input_side(self):
+    def test_narrow_end_matches_input_side(self, jacobian_oracle):
         # J is built from the output end when n_out <= n_0, from the input
         # end otherwise; compare both against an input-side product
         for in_dim, out_dim in ((10, 6), (8, 8), (6, 10)):
             net = generate_random(4, 20, in_dim, out_dim, seed=21)
             x = np.linspace(-1, 1, in_dim)
-            J = net.weights[0]
-            for W, d in zip(net.weights[1:], _activation_derivs(net, x)):
-                J = W @ (d[:, None] * J)
-            expect = float(np.linalg.svd(J, compute_uv=False)[0])
+            expect = jacobian_oracle(net, x)
             assert abs(jacobian_sigma(net, x) - expect) <= 1e-12 * expect
 
     def test_never_exceeds_product_of_layer_norms(self):
@@ -254,3 +251,45 @@ class TestJacobianSigma:
         for _ in range(20):
             x = rng.uniform(-3, 3, size=8)
             assert jacobian_sigma(net, x) <= prod * (1.0 + 1e-10)
+
+
+def with_biases(net, seed):
+    rng = np.random.default_rng(seed)
+    biases = tuple(rng.standard_normal(W.shape[0]) for W in net.weights)
+    return Network(net.weights, biases, net.activation)
+
+
+class TestJacobianNorms:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("in_dim,out_dim", [(10, 6), (8, 8), (6, 10)])
+    def test_matches_per_point_svd(self, jacobian_oracle, activation, in_dim, out_dim):
+        base = generate_random(4, 20, in_dim, out_dim, seed=23, activation=activation)
+        X = 2.0 * np.random.default_rng(4).standard_normal((12, in_dim))
+        for net in (base, with_biases(base, 5)):
+            norms = jacobian_norms(net, X)
+            assert norms.shape == (12,)
+            for x, got in zip(X, norms):
+                expect = jacobian_oracle(net, x)
+                assert abs(got - expect) <= 1e-12 * expect
+                assert jacobian_sigma(net, x) == jacobian_norms(net, x[None, :])[0]
+
+    @pytest.mark.parametrize("in_dim,out_dim", [(8, 5), (5, 8)])
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_exact_under_power_of_two_output_scaling(self, in_dim, out_dim, e):
+        net = with_biases(generate_random(3, 12, in_dim, out_dim, seed=7), 8)
+        scaled = Network(net.weights[:-1] + (np.ldexp(net.weights[-1], e),),
+                         net.biases, net.activation)
+        X = np.random.default_rng(9).standard_normal((20, in_dim))
+        norms = jacobian_norms(net, X)
+        expect = np.ldexp(norms, e)
+        # the unscaled Gram matrix of the scaled net leaves the float range
+        with np.errstate(over="ignore", under="ignore"):
+            assert not 0.0 < float((expect**2).max()) < math.inf
+        np.testing.assert_array_equal(jacobian_norms(scaled, X), expect)
+
+    def test_shape_checked(self):
+        net = scalar_net()
+        for X in (np.zeros(1), np.zeros((3, 2)), np.zeros((1, 1, 1))):
+            with pytest.raises(DimensionMismatch):
+                jacobian_norms(net, X)
+        assert jacobian_norms(net, np.zeros((0, 1))).shape == (0,)
