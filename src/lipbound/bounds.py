@@ -25,7 +25,11 @@ points, and whether the rule reads theta (``reads``).
 c or over a sweep, and ``best`` is one sweep over every method's points.
 
 Reductions are deterministic: the first of equal bounds wins, in grid
-order within a method and in ``METHODS`` order across methods.
+order within a method and in ``METHODS`` order across methods.  A sweep
+stops a point at layer k once T_k = lambda_max(P_k M_k^{-1} P_k^T), with
+P_k = W_{l+1} ... W_k, exceeds the smallest gamma so far: T_k never
+decreases along the recursion and ends at the point's gamma, so such a
+point cannot win, and the winner is the same as without the stop.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .linalg import (
     pow2_scaled,
     row_abs_sums,
     scaled_row_sums,
+    solve_lower,
     spectral_norm,
     spectral_upper_bound,
     top_eigenvalue,
@@ -190,49 +195,145 @@ class BoundReport:
     sweep: dict | None = None
 
 
-def run_recursion(net: Network, cfg: StrategyConfig) -> BoundReport:
-    """Run the layer recursion under the given strategy.
+# A sweep stops a point at layer k once its tail bound T_k exceeds the
+# incumbent gamma by this relative margin, which covers the rounding
+# between T_k and the gamma the point would end at.
+PRUNE_MARGIN = 1e-9
+
+
+@dataclass(frozen=True)
+class Pruned:
+    """A sweep point stopped at ``layer``: its bound could not beat the incumbent."""
+
+    layer: int
+
+
+def _tails(net: Network) -> list:
+    """P_k^T = (W_{l+1} ... W_k)^T, Fortran-ordered, at index k for 2 <= k <= l.
+
+    None where P_k left the float range (and at k < 2): pruning is only a
+    saving, so a tail that overflowed never stops a point.
+    """
+    tails = [None] * (net.depth + 1)
+    P = net.weights[-1]
+    with np.errstate(all="ignore"):
+        for k in range(net.depth, 1, -1):
+            P = P @ net.weights[k - 1]
+            if np.all(np.isfinite(P)):
+                tails[k] = np.asfortranarray(P.T)
+    return tails
+
+
+class _Workspace:
+    """What ``run_recursion`` reuses from layer to layer, and a sweep from point to point.
+
+    ``g1`` is G_1 = W_1 W_1^T, read-only and the same for every point,
+    since M_1 = I.  Each layer shape has its arrays, allocated once: X for
+    ``gamma_matrix``, G, and M, which ``cholesky`` turns into L in place.
+    One M per order serves as both L_k and M_{k+1}, since L_k is dead once
+    G_k is formed.  A sweep's workspace also holds the tails P_k and the
+    incumbent gamma, which together stop a point that cannot win; a single
+    run's holds neither and never stops.
+    """
+
+    def __init__(self, net: Network, sweep: bool = False):
+        with np.errstate(all="ignore"):
+            self.g1 = gamma_matrix(net.weights[0], np.eye(net.dims[0]))
+        self.g1.flags.writeable = False
+        self.weights = net.weights
+        self.tails = _tails(net) if sweep else None
+        self.incumbent = math.inf
+        self._arrays = {}
+
+    def array(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """The one ``rows`` x ``cols`` array of this name (X and M Fortran-ordered)."""
+        key = (name, rows, cols)
+        if key not in self._arrays:
+            self._arrays[key] = np.empty((rows, cols), order="C" if name == "G" else "F")
+        return self._arrays[key]
+
+    def gamma(self, k: int, L) -> np.ndarray:
+        """G_{k+1} = W_{k+1} M_{k+1}^{-1} W_{k+1}^T in this workspace's arrays."""
+        if k == 0:
+            return self.g1
+        W = self.weights[k]
+        m, n = W.shape
+        return gamma_matrix(W, L, self.array("X", n, m), self.array("G", m, m))
+
+    def tail_bound(self, k: int, L) -> float:
+        """T_k = lambda_max(P_k M_k^{-1} P_k^T), NaN where it leaves the float range.
+
+        It is the LipSDP bound with every activation slope set to 1 on the
+        layers from k on: it never decreases along the recursion, and it
+        ends at the point's own gamma.
+        """
+        if self.tails[k] is None:
+            return math.nan
+        with np.errstate(all="ignore"):
+            X = solve_lower(L, self.tails[k].copy(order="F"))
+            H = X.T @ X
+        return top_eigenvalue(H) if np.all(np.isfinite(H)) else math.nan
+
+    def beaten(self, k: int, L) -> bool:
+        """Whether this sweep's point, with L_k = L, cannot beat the incumbent.
+
+        A NaN tail bound stops nothing: pruning only saves time.
+        """
+        return (self.tails is not None and self.incumbent < math.inf
+                and self.tail_bound(k, L) > self.incumbent * (1.0 + PRUNE_MARGIN))
+
+
+def run_recursion(net: Network, cfg: StrategyConfig, *, _work: _Workspace | None = None):
+    """Run the layer recursion under the given strategy; its BoundReport.
 
     Raises DefinitenessLost(layer) if M_{k+1} fails Cholesky, signalling
     that the multiplier choice violated strict feasibility numerically, or
     if an intermediate or the final gamma leaves the float range; sweeps
-    treat that c as infeasible.
+    treat that c as infeasible.  ``evaluate``'s sweeps pass their shared
+    workspace, and there a point that cannot beat the sweep's incumbent
+    stops and returns Pruned(layer) instead.
     """
     if cfg.method not in STRATEGIES:
         raise ValueError(f"method {cfg.method!r} has no per-layer multiplier")
     select = STRATEGIES[cfg.method].select
     t0 = time.perf_counter()
+    work = _Workspace(net) if _work is None else _work
     l = net.depth
-    n0 = net.dims[0]
-    L = np.eye(n0)
+    L = None  # L_1 = I is never formed: G_1 comes from the workspace
     lambdas = []
     per_layer = []
     for k in range(l):
+        if k and work.beaten(k + 1, L):
+            return Pruned(k + 1)
+        n = net.weights[k].shape[0]
+        M = work.array("M", n, n)
         # extreme c values can over/underflow on deep nets; treat any
         # non-finite intermediate as a lost-definiteness grid point
         with np.errstate(all="ignore"):
-            G = gamma_matrix(net.weights[k], L)
+            G = work.gamma(k, L)
             if not np.all(np.isfinite(G)):
                 raise DefinitenessLost(k + 1)
             lam, stat = select(G, cfg)
-            M = np.diag(2.0 * lam) - (lam[:, None] * G) * lam[None, :]
-        M = 0.5 * (M + M.T)
+            # M_{k+1} = diag(2 lam) - (lam G) lam, then 0.5 (M + M^T), the
+            # same operations as on fresh arrays; G's array is free by then
+            np.multiply(lam[:, None], G, out=M)
+            np.multiply(M, lam[None, :], out=M)
+            diag = 2.0 * lam - np.diagonal(M)
+            np.subtract(0.0, M, out=M)
+            np.fill_diagonal(M, diag)
+            S = np.add(M, M.T, out=work.array("G", n, n))
+            np.multiply(0.5, S, out=M)
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(M))):
             raise DefinitenessLost(k + 1)
+        min_m_diag = float(np.min(np.diagonal(M)))
         try:
-            L = cholesky(M)
+            L = cholesky(M, overwrite=True)
         except NotPositiveDefinite as exc:
             raise DefinitenessLost(k + 1) from exc
         lambdas.append(lam)
-        per_layer.append(
-            {
-                "layer": k + 1,
-                "stat": stat,
-                "min_m_diag": float(np.min(np.diag(M))),
-            }
-        )
+        per_layer.append({"layer": k + 1, "stat": stat, "min_m_diag": min_m_diag})
     with np.errstate(all="ignore"):
-        G_out = gamma_matrix(net.weights[l], L)
+        G_out = work.gamma(l, L)
         if not np.all(np.isfinite(G_out)):
             raise DefinitenessLost(l + 1)
         gamma = spectral_upper_bound(G_out) if cfg.certified else top_eigenvalue(G_out)
@@ -325,10 +426,14 @@ def evaluate(
     ``STRATEGIES``.  ``best`` sweeps ``product``, then ``fast``, then each
     default sweep in ``METHODS`` order; ``grids`` may map a method to the c
     values that replace its default sweep there.  A sweep runs one point
-    after another, and the first strictly smaller bound wins.  The winning
-    report's ``sweep`` field records every point in order: its method, the
-    parameters that method reads (``reads``) and its bound, None where the
-    point lost definiteness.  ``wall_time`` covers the whole evaluation.
+    after another, and the first strictly smaller bound wins.  A point
+    stops at the first layer k >= 2 where its tail bound T_k shows that it
+    cannot beat the smallest bound so far; single runs never stop.  The
+    winning report's ``sweep`` field records every point in order: its
+    method, the parameters that method reads (``reads``) and its bound.  A
+    point without a bound has ``bound`` None and says why: ``lost_at`` k
+    where it lost definiteness at layer k, or ``pruned_at`` k where it
+    stopped there.  ``wall_time`` covers the whole evaluation.
 
     Raises AllInfeasible if every point fails, and ValueError if ``c`` or
     ``grid`` is given to a method that takes no c, or ``theta`` to any
@@ -351,21 +456,27 @@ def evaluate(
             return STRATEGIES[m].grid if reads(m) else [(1.0, 0.5)]
         return [(float(v), 0.5 if theta is None else theta) for v in own]
 
+    work = None if single else _Workspace(net, sweep=True)
     best, points = None, []
     for m in METHODS if method == "best" else (method,):
         for v, t in points_of(m):
             cfg = StrategyConfig(m, c=v, theta=t, certified=certified)
+            why = {}
             try:
                 report = (product_bound(net, certified) if m == "product"
-                          else run_recursion(net, cfg))
-            except DefinitenessLost:
+                          else run_recursion(net, cfg, _work=work))
+            except DefinitenessLost as exc:
                 if single:
                     raise
-                report = None
+                report, why = None, {"lost_at": exc.layer}
+            if isinstance(report, Pruned):
+                report, why = None, {"pruned_at": report.layer}
             points.append({"method": m, **{p: getattr(cfg, p) for p in reads(m)},
-                           "bound": None if report is None else report.bound})
+                           "bound": None if report is None else report.bound, **why})
             if report is not None and (best is None or report.bound < best.bound):
                 best = report
+                if work is not None:
+                    work.incumbent = best.multipliers.gamma
     if best is None:
         raise AllInfeasible("every method failed" if method == "best" else
                             f"all {len(points)} grid points infeasible for {method!r}")

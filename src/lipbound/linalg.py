@@ -147,16 +147,21 @@ def _order(S: np.ndarray) -> int:
     return S.shape[0]
 
 
-def cholesky(S: np.ndarray) -> np.ndarray:
+def cholesky(S: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Lower Cholesky factor L with L @ L.T == S, for symmetric S.
 
-    L is Fortran-ordered with its strict upper triangle exactly 0.  Raises
-    NotPositiveDefinite if any pivot is non-positive, which is how the
-    recursion signals that a multiplier choice violated strict feasibility.
+    L is Fortran-ordered with its strict upper triangle exactly 0.  With
+    ``overwrite``, S itself, which must then be a Fortran-ordered float64
+    array, is factored in place and returned.  Raises NotPositiveDefinite
+    if any pivot is non-positive, which is how the recursion signals that
+    a multiplier choice violated strict feasibility.
     """
     n = _order(S)
-    L = np.array(S, dtype=np.float64, order="F")
-    address = L.ctypes.data
+    if not overwrite:
+        S = np.array(S, dtype=np.float64, order="F")
+    elif S.dtype != np.float64 or not S.flags.f_contiguous:
+        raise ValueError("cholesky overwrites only a Fortran-ordered float64 array")
+    address = S.ctypes.data
     info = _dpotrf(_COL_MAJOR, b"L", n, address, n)
     if info > 0:
         raise NotPositiveDefinite(
@@ -167,27 +172,45 @@ def cholesky(S: np.ndarray) -> np.ndarray:
     if n > 1:
         # L's strict upper triangle is the upper triangle of L[:-1, 1:]
         _dlaset(_COL_MAJOR, b"U", n - 1, n - 1, 0.0, 0.0, address + 8 * n, n)
-    return L
+    return S
 
 
-def gamma_matrix(W: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Propagated quadratic form W M^{-1} W.T given the Cholesky factor of M.
+def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with L @ X = B, written over B and returned, for a triangular factor L.
 
-    Computed as X.T @ X with L @ X = W.T (one LAPACK ``dtrtrs`` call), so
-    M is never inverted explicitly and the result is PSD by construction.
-    numpy forms X.T @ X with one ``syrk`` call and mirrors its triangle, so
-    the result is exactly symmetric, as the row sums and eigen-solves
-    downstream require.
+    One LAPACK ``dtrtrs`` call.  B must be a Fortran-ordered float64 array
+    with as many rows as L.
     """
-    m, n = W.shape
+    n, m = B.shape
     if L.shape != (n, n):
-        raise ValueError(f"factor of shape {L.shape} does not fit W of shape {W.shape}")
+        raise ValueError(f"factor of shape {L.shape} does not fit B of shape {B.shape}")
+    if B.dtype != np.float64 or not B.flags.f_contiguous:
+        raise ValueError("solve_lower overwrites only a Fortran-ordered float64 array")
     L = np.asfortranarray(L, dtype=np.float64)
-    X = np.array(W.T, dtype=np.float64, order="F")
-    info = _dtrtrs(_COL_MAJOR, b"L", b"N", b"N", n, m, L.ctypes.data, n, X.ctypes.data, n)
+    info = _dtrtrs(_COL_MAJOR, b"L", b"N", b"N", n, m, L.ctypes.data, n, B.ctypes.data, n)
     if info != 0:  # pragma: no cover - a Cholesky factor has no zero pivot
         raise ValueError(f"dtrtrs: info={info}")
-    return X.T @ X
+    return B
+
+
+def gamma_matrix(W: np.ndarray, L: np.ndarray, work: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Propagated quadratic form W M^{-1} W.T given the Cholesky factor of M.
+
+    Computed as X.T @ X with L @ X = W.T (``solve_lower``), so M is never
+    inverted explicitly and the result is PSD by construction.  numpy
+    forms X.T @ X with one ``syrk`` call and mirrors its triangle, so the
+    result is exactly symmetric, as the row sums and eigen-solves
+    downstream require.  A caller stepping many layers may hand in the
+    arrays to write: ``work``, Fortran-ordered and of W.T's shape, for X,
+    and ``out``, square of W's row count, for the result.
+    """
+    if work is None:
+        work = np.array(W.T, dtype=np.float64, order="F")
+    else:
+        np.copyto(work, W.T)
+    X = solve_lower(L, work)
+    return np.matmul(X.T, X, out=out)
 
 
 def top_eigenvalue(S: np.ndarray) -> float:

@@ -132,6 +132,10 @@ def _parse_json(text: str) -> Network:
         try:
             rows, cols = int(layer["rows"]), int(layer["cols"])
             flat = np.asarray(layer["weights"], dtype=np.float64)
+            bias = layer.get("bias")
+            if "bias" in layer and not isinstance(bias, list):
+                raise TypeError(f"bias must be a list of {rows} numbers, got {json.dumps(bias)}")
+            bias = None if bias is None else np.asarray(bias, dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"layer {k + 1}: {exc}") from exc
         if flat.shape != (rows * cols,):
@@ -139,7 +143,7 @@ def _parse_json(text: str) -> Network:
                 f"layer {k + 1}: expected {rows * cols} weights, got {flat.size}"
             )
         weights.append(flat.reshape(rows, cols))
-        biases.append(np.asarray(layer.get("bias", np.zeros(rows)), dtype=np.float64))
+        biases.append(np.zeros(rows) if bias is None else bias)
     return Network(
         weights=tuple(weights),
         biases=tuple(biases) if any("bias" in layer for layer in layers) else None,

@@ -13,14 +13,17 @@ from lipbound.bounds import (
     METHODS,
     STRATEGIES,
     StrategyConfig,
+    _Workspace,
     evaluate,
     product_bound,
+    reads,
     report_to_dict,
     run_recursion,
 )
 from lipbound.certify import validate
 from lipbound.cli import read_certificate
 from lipbound.errors import AllInfeasible, DefinitenessLost
+from lipbound.linalg import cholesky, gamma_matrix, top_eigenvalue
 from lipbound.network import Network, generate_random
 
 
@@ -461,6 +464,100 @@ class TestBestOf:
         assert report.bound <= min(alone)
         vr = validate(net, report.bound, report.multipliers, n_samples=20)
         assert vr.lmi.psd
+
+
+def fresh_recursion(net, cfg):
+    """The recursion on fresh arrays at every layer: (lambdas, min_m_diags, gamma)."""
+    L, lambdas, min_diags = np.eye(net.dims[0]), [], []
+    for W in net.weights[:-1]:
+        G = gamma_matrix(W, L)
+        lam, _ = STRATEGIES[cfg.method].select(G, cfg)
+        M = np.diag(2.0 * lam) - (lam[:, None] * G) * lam[None, :]
+        M = 0.5 * (M + M.T)
+        min_diags.append(float(np.min(np.diag(M))))
+        L = cholesky(M)
+        lambdas.append(lam)
+    return lambdas, min_diags, top_eigenvalue(gamma_matrix(net.weights[-1], L))
+
+
+def alone(net, point):
+    """A sweep point run on its own, as a single run: its report or its failure."""
+    params = {p: point[p] for p in reads(point["method"])}
+    try:
+        return evaluate(net, point["method"], **params)
+    except DefinitenessLost as exc:
+        return exc
+
+
+class TestPruning:
+    """A sweep stops a point once its tail bound cannot beat the incumbent."""
+
+    @pytest.mark.parametrize("net,method,kwargs", [
+        pytest.param(lambda: generate_random(10, 64, 64, 10, 0), "best", {}, id="best-narrow"),
+        pytest.param(lambda: generate_random(3, 8, 8, 3, 5), "best", {}, id="pinned"),
+        pytest.param(n60, "best", {}, id="n60"),
+        pytest.param(lambda: generate_random(3, 8, 8, 3, 5), "gc",
+                     {"grid": [1.9, 1.5, 1.0, 0.5, 0.1]}, id="gc-descending"),
+    ])
+    def test_points_match_single_runs(self, net, method, kwargs):
+        net = net()
+        report = evaluate(net, method, **kwargs)
+        points = report.sweep["points"]
+        assert any("pruned_at" in p for p in points)
+        for p in points:
+            single = alone(net, p)
+            if p["bound"] is not None:
+                # a point with a bound keeps exactly the keys it always had
+                assert sorted(p) == sorted(["method", "bound", *reads(p["method"])])
+                assert single.bound == p["bound"]
+            elif "lost_at" in p:
+                assert "pruned_at" not in p
+                assert isinstance(single, DefinitenessLost)
+                assert single.layer == p["lost_at"]
+            else:
+                assert 2 <= p["pruned_at"] <= net.depth
+                # single runs never stop, and a stopped point cannot win
+                assert isinstance(single, DefinitenessLost) or single.bound >= report.bound
+
+    def test_overflowing_tails_stop_nothing(self, monkeypatch):
+        seen = []
+        tail_bound = _Workspace.tail_bound
+
+        def recorded(self, k, L):
+            seen.append(tail_bound(self, k, L))
+            return seen[-1]
+
+        monkeypatch.setattr(_Workspace, "tail_bound", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate(n60(), "best")
+        assert any(math.isnan(t) for t in seen)
+        assert (report.method, report.config.c) == ("gc", 1.25)
+
+    def test_certified_winner_pinned(self):
+        report = evaluate(generate_random(3, 8, 8, 3, seed=5), "best", certified=True)
+        assert (report.method, report.config.c) == ("gc", 1.45)
+        assert report.bound == 2.461408955539158
+        assert report.multipliers.gamma == 6.058534046408369
+
+    def test_reused_arrays_match_fresh_ones(self):
+        # widths change from layer to layer, so each shape has its own arrays,
+        # and one workspace serves every point in turn, as in a sweep
+        rng = np.random.default_rng(3)
+        dims = (6, 9, 4, 9, 3)
+        net = Network(tuple(rng.standard_normal((dims[k + 1], dims[k]))
+                            for k in range(len(dims) - 1)))
+        work = _Workspace(net)
+        assert not work.g1.flags.writeable  # G_1 is shared by every point
+        for method in STRATEGIES:
+            for c in (0.5, 1.5) if STRATEGIES[method].c_range else (1.0,):
+                cfg = StrategyConfig(method, c=c + (method == "shift"), theta=0.25)
+                lambdas, min_diags, gamma = fresh_recursion(net, cfg)
+                for report in (run_recursion(net, cfg), run_recursion(net, cfg, _work=work)):
+                    assert report.multipliers.gamma == gamma
+                    assert [d["min_m_diag"] for d in report.per_layer] == min_diags
+                    for a, b in zip(report.multipliers.lambdas, lambdas):
+                        assert a.tobytes() == b.tobytes()
 
 
 class TestReportSerialization:

@@ -573,6 +573,32 @@ class TestZeroWidthNetwork:
         assert "weight 1 is empty or not 2-D" in capsys.readouterr().err
 
 
+class TestMalformedBias:
+    """A JSON bias that is not a list of numbers is a parse error naming its layer."""
+
+    @pytest.mark.parametrize("bias", [{"x": 1}, None], ids=["object", "null"])
+    @pytest.mark.parametrize("command", [
+        ["compute", "--method", "best"],
+        ["verify", "--samples", "5"],
+    ], ids=["compute", "verify"])
+    def test_exit_2_names_layer(self, tmp_path, capsys, bias, command):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"layers": [
+            {"rows": 2, "cols": 2, "weights": [1.0, 0.0, 0.0, 1.0], "bias": bias},
+            {"rows": 1, "cols": 2, "weights": [1.0, 1.0]},
+        ]}))
+        argv = [command[0], "--net", str(path), *command[1:]]
+        if command[0] == "verify":
+            report_path = tmp_path / "r.json"
+            report_path.write_text(json.dumps(
+                {"bound": 2.0, "multipliers": {"lambdas": [[1.0, 1.0]], "gamma": 4.0}}
+            ))
+            argv += ["--report", str(report_path)]
+        assert main(argv) == 2
+        assert f"layer 1: bias must be a list of 2 numbers, got {json.dumps(bias)}" in (
+            capsys.readouterr().err)
+
+
 class TestBench:
     def test_csv_schema_and_ordering(self, tmp_path):
         out = tmp_path / "bench.csv"

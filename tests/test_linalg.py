@@ -58,6 +58,20 @@ class TestCholesky:
             err = np.max(np.abs(L @ L.T - S))
             assert err <= 1e-10 * (1.0 + np.max(np.abs(S)))
 
+    def test_overwrite_factors_in_place_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 4, 9):
+            S = random_spd(rng, n)
+            A = np.array(S, order="F")
+            L = cholesky(A, overwrite=True)
+            assert L is A
+            assert L.tobytes(order="F") == cholesky(S).tobytes(order="F")
+
+    def test_overwrite_refuses_a_c_ordered_array(self):
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            cholesky(np.ascontiguousarray(random_spd(np.random.default_rng(44), 3)),
+                     overwrite=True)
+
 
 class TestGammaMatrix:
     def test_scalar(self):
@@ -83,6 +97,20 @@ class TestGammaMatrix:
             np.testing.assert_array_equal(G, G.T)
             shift = 1e-12 * (1.0 + np.abs(G).max())
             cholesky(G + shift * np.eye(G.shape[0]))
+
+    def test_given_arrays_match_fresh_ones_bit_for_bit(self):
+        # one pair of arrays serves every call of its shape, as in a recursion
+        rng = np.random.default_rng(8)
+        dims = (6, 9, 4, 9, 3)
+        arrays = {}
+        for _ in range(2):
+            for n, m in zip(dims, dims[1:]):
+                W, L = rng.standard_normal((m, n)), cholesky(random_spd(rng, n))
+                work, out = arrays.setdefault((n, m), (
+                    np.empty((n, m), order="F"), np.empty((m, m))))
+                G = gamma_matrix(W, L, work, out)
+                assert G is out
+                assert G.tobytes() == gamma_matrix(W, L).tobytes()
 
 
 class TestTopEigenvalue:
