@@ -260,27 +260,37 @@ class _Workspace:
         m, n = W.shape
         return gamma_matrix(W, L, self.array("X", n, m), self.array("G", m, m))
 
-    def tail_bound(self, k: int, L) -> float:
-        """T_k = lambda_max(P_k M_k^{-1} P_k^T), NaN where it leaves the float range.
+    def tail_gram(self, k: int, L):
+        """H = P_k M_k^{-1} P_k^T, None where it leaves the float range.
 
-        It is the LipSDP bound with every activation slope set to 1 on the
-        layers from k on: it never decreases along the recursion, and it
-        ends at the point's own gamma.
+        Its top eigenvalue T_k is the LipSDP bound with every activation
+        slope set to 1 on the layers from k on: it never decreases along
+        the recursion, and it ends at the point's own gamma.
         """
         if self.tails[k] is None:
-            return math.nan
+            return None
         with np.errstate(all="ignore"):
             X = solve_lower(L, self.tails[k].copy(order="F"))
             H = X.T @ X
-        return top_eigenvalue(H) if np.all(np.isfinite(H)) else math.nan
+        return H if np.all(np.isfinite(H)) else None
 
     def beaten(self, k: int, L) -> bool:
         """Whether this sweep's point, with L_k = L, cannot beat the incumbent.
 
-        A NaN tail bound stops nothing: pruning only saves time.
+        H is PSD, so max diag(H) <= T_k <= trace(H): the eigen-solve runs
+        only where the threshold lies between these two.  A tail outside
+        the float range stops nothing: pruning only saves time.
         """
-        return (self.tails is not None and self.incumbent < math.inf
-                and self.tail_bound(k, L) > self.incumbent * (1.0 + PRUNE_MARGIN))
+        if self.tails is None or not self.incumbent < math.inf:
+            return False
+        H = self.tail_gram(k, L)
+        if H is None:
+            return False
+        threshold = self.incumbent * (1.0 + PRUNE_MARGIN)
+        d = np.diagonal(H)
+        if d.max() > threshold:
+            return True
+        return d.sum() > threshold and top_eigenvalue(H) > threshold
 
 
 def run_recursion(net: Network, cfg: StrategyConfig, *, _work: _Workspace | None = None):

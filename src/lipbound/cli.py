@@ -139,7 +139,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     net = load_network(args.net)
     grid = None
     if args.sweep is not None:
-        lo, hi, step = (float(v) for v in args.sweep.split(":"))
+        try:
+            lo, hi, step = (float(v) for v in args.sweep.split(":"))
+        except ValueError:
+            raise ValueError(f"--sweep takes LO:HI:STEP, got {args.sweep!r}") from None
         if not (step > 0 and hi >= lo and math.isfinite(hi - lo)):
             raise ValueError("--sweep requires step > 0 and finite hi >= lo")
         grid = [lo + i * step for i in range(math.floor((hi - lo) / step + 1e-12) + 1)]
@@ -221,6 +224,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     widths = _parse_int_list(args.widths)
     seeds = _parse_int_list(args.seeds)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        print("bench: --methods names no method", file=sys.stderr)
+        return EXIT_USAGE
     bad = [m for m in methods if m not in METHODS]
     if bad or not depths or not widths or not seeds:
         print(f"bench: invalid grid or methods {bad}", file=sys.stderr)

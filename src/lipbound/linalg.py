@@ -19,9 +19,13 @@ routines below are bound from it through ctypes, column-major with 64-bit
 integers, so LAPACKE hands each call straight to LAPACK.  The library is
 reached through numpy's extension module, whose symbol lookup searches the
 libraries it links.  Import fails, naming the symbol, where numpy's BLAS
-lacks one of them (an MKL or Accelerate build of numpy, say).  On import
-this module also pins that OpenBLAS to one thread (see
-``_pin_openblas_threads``).
+lacks one of them (an MKL or Accelerate build of numpy, say).
+
+That OpenBLAS runs on one thread unless the user set a count.  Where
+``import lipbound`` comes first, the package imports numpy with
+``OPENBLAS_NUM_THREADS=1`` and the library loads with one thread; where
+numpy was imported before, this module sets the count to one on import
+(``_pin_openblas_threads``).
 """
 
 from __future__ import annotations
@@ -33,14 +37,12 @@ import os
 import numpy as np
 from numpy._core import _multiarray_umath
 
+from . import _user_sets_threads
 from .errors import NotConverged, NotPositiveDefinite
 
 _NUMPY_BLAS = ctypes.CDLL(_multiarray_umath.__file__)
 _COL_MAJOR = 102
 _INT, _DOUBLE, _PTR, _CHAR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
-
-# Either variable, when set, is the user's thread count and is left in force.
-_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _bind(symbol: str, restype, argtypes: list):
@@ -131,9 +133,11 @@ def _pin_openblas_threads() -> None:
     second thread mostly spins: on 2 cores, ``compute --method best`` on a
     depth-10 width-64 net takes 1.6 s of CPU time at two threads against
     1.05 s at one, in the same wall time.  The count holds for the whole
-    process, library callers included.
+    process, library callers included.  Where the package loaded numpy at
+    one thread this changes nothing; where numpy came first, its pool's
+    workers were started at load and stay, but are no longer handed work.
     """
-    if not any(os.environ.get(var) for var in _THREAD_VARIABLES):
+    if not _user_sets_threads():
         _set_num_threads(1)
 
 

@@ -167,6 +167,12 @@ class TestCompute:
             assert main(["compute", "--net", str(oracle_path), "--method", "sn",
                          "--sweep", sweep]) == 2
 
+    @pytest.mark.parametrize("sweep", ["1:2", "1:2:3:4", "a:b:c"])
+    def test_malformed_sweep_names_the_form(self, oracle_path, capsys, sweep):
+        assert main(["compute", "--net", str(oracle_path), "--method", "gc",
+                     "--sweep", sweep]) == 2
+        assert f"--sweep takes LO:HI:STEP, got {sweep!r}" in capsys.readouterr().err
+
     def test_c_and_sweep_exclusive(self, oracle_path, capsys):
         assert main(["compute", "--net", str(oracle_path), "--method", "gc",
                      "--c", "1.5", "--sweep", "0.5:1.0:0.5"]) == 2
@@ -649,6 +655,13 @@ class TestBench:
     def test_bad_method_exit_2(self, tmp_path):
         assert main(["bench", "--depths", "2", "--widths", "3",
                      "--methods", "nope", "--o", str(tmp_path / "b.csv")]) == 2
+
+    def test_empty_method_list_exit_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--depths", "2", "--widths", "4", "--methods", ",",
+                     "--o", str(out)]) == 2
+        assert "--methods names no method" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReproducibility:

@@ -345,8 +345,8 @@ class TestSpectralNorm:
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _threads_after_import(**variables) -> list:
-    """Thread counts of every loaded OpenBLAS after `import lipbound` in a new process.
+def _child_output(code: str, **variables):
+    """The JSON that ``code`` prints in a new process, which imports this lipbound.
 
     The child starts with neither thread variable set, plus ``variables``.
     """
@@ -354,11 +354,19 @@ def _threads_after_import(**variables) -> list:
     env.update(variables)
     src = str(Path(lipbound.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import json, lipbound; from lipbound.linalg import openblas_threads; "
-            "print(json.dumps(openblas_threads()))")
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, timeout=120, check=True)
-    libraries = json.loads(child.stdout)
+    return json.loads(child.stdout)
+
+
+def _threads_after_import(first: str = "", **variables) -> list:
+    """Thread counts of every loaded OpenBLAS after ``first`` then `import lipbound`.
+
+    The import runs in a new process (see ``_child_output``).
+    """
+    code = (f"{first}import json, lipbound; from lipbound.linalg import openblas_threads; "
+            "print(json.dumps(openblas_threads()))")
+    libraries = _child_output(code, **variables)
     if not libraries:
         pytest.skip("no OpenBLAS listed: this platform has no /proc/self/maps")
     return [lib["threads"] for lib in libraries]
@@ -374,6 +382,29 @@ class TestOpenblasThreads:
     def test_user_thread_count_left_in_force(self, variable):
         threads = _threads_after_import(**{variable: "2"})
         assert threads == [2] * len(threads)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+    def test_import_starts_no_blas_worker(self):
+        code = ("import json, os, lipbound; from lipbound.linalg import openblas_threads; "
+                "print(json.dumps([os.listdir('/proc/self/task'), openblas_threads()]))")
+        tasks, libraries = _child_output(code)
+        assert len(tasks) == 1
+        assert [lib["threads"] for lib in libraries] == [1]
+
+    @pytest.mark.parametrize("variables", [{}, {"OPENBLAS_NUM_THREADS": ""},
+                                           {"OMP_NUM_THREADS": ""}],
+                             ids=["unset", "openblas-empty", "omp-empty"])
+    def test_import_leaves_environment_as_it_was(self, variables):
+        code = ("import json, os; before = dict(os.environ); import lipbound; "
+                "print(json.dumps([before, dict(os.environ)]))")
+        before, after = _child_output(code, **variables)
+        assert after == before
+        for name, value in variables.items():
+            assert after[name] == value
+
+    def test_numpy_imported_first_still_one_thread(self):
+        threads = _threads_after_import(first="import numpy; ")
+        assert threads == [1] * len(threads)
 
     def test_manifest_numeric_block_is_strict_json(self, tmp_path):
         net, report, verified = (tmp_path / name for name in ("net.json", "r.json", "v.json"))
