@@ -5,40 +5,14 @@ they check nothing but LAPACK's status, so their inputs must be float64,
 finite, square and, where the kernel says so, exactly symmetric.
 ``Network`` checks a network's shapes and finiteness once, when it is built.
 
-Where numpy is not imported yet and the user set no thread count, numpy is
-imported here with ``OPENBLAS_NUM_THREADS=1`` for the moment of its import,
-so its OpenBLAS loads with one thread and starts no worker; the environment
-is then put back as it was.  See ``lipbound.linalg`` for a numpy imported
-earlier.
+numpy's OpenBLAS runs on one thread unless the user set a count; see
+``lipbound.linalg``.
 """
-
-import os as _os
-import sys as _sys
 
 __version__ = "0.1.0"
 
-# Either variable, when set, is the user's thread count and is left in force.
-_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _user_sets_threads() -> bool:
-    """Whether the user set an OpenBLAS thread count (an empty value sets none)."""
-    return any(_os.environ.get(var) for var in _THREAD_VARIABLES)
-
-
-if "numpy" not in _sys.modules and not _user_sets_threads():
-    # OpenBLAS reads the variable once, when it loads; an idle worker
-    # spins for about 0.13 s of CPU in every process
-    _saved = _os.environ.get("OPENBLAS_NUM_THREADS")
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as _numpy
-    finally:
-        if _saved is None:
-            del _os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            _os.environ["OPENBLAS_NUM_THREADS"] = _saved
-
+# first, so numpy's OpenBLAS loads at one thread before any module imports numpy
+from . import linalg
 from .bounds import (
     STRATEGIES,
     BoundReport,

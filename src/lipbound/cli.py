@@ -121,10 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_int_list(text: str) -> list:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     net = generate_random(
         args.layers, args.width, args.in_dim, args.out_dim, args.seed,
@@ -143,8 +139,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
             lo, hi, step = (float(v) for v in args.sweep.split(":"))
         except ValueError:
             raise ValueError(f"--sweep takes LO:HI:STEP, got {args.sweep!r}") from None
-        if not (step > 0 and hi >= lo and math.isfinite(hi - lo)):
-            raise ValueError("--sweep requires step > 0 and finite hi >= lo")
+        if not (step > 0 and hi >= lo and math.isfinite((hi - lo) / step)):
+            raise ValueError("--sweep requires step > 0, finite hi >= lo and a finite "
+                             "number of points")
         grid = [lo + i * step for i in range(math.floor((hi - lo) / step + 1e-12) + 1)]
     report = evaluate(
         net, args.method, args.c, grid, theta=args.theta, certified=args.certified
@@ -220,16 +217,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """One task at a time, so each row's seconds times that task alone."""
-    depths = _parse_int_list(args.depths)
-    widths = _parse_int_list(args.widths)
-    seeds = _parse_int_list(args.seeds)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        print("bench: --methods names no method", file=sys.stderr)
-        return EXIT_USAGE
+    lists = {}
+    for flag in ("depths", "widths", "seeds", "methods"):
+        lists[flag] = [v.strip() for v in getattr(args, flag).split(",") if v.strip()]
+        if not lists[flag]:
+            print(f"bench: --{flag} names no {flag[:-1]}", file=sys.stderr)
+            return EXIT_USAGE
+    depths, widths, seeds = ([int(v) for v in lists[flag]]
+                             for flag in ("depths", "widths", "seeds"))
+    methods = lists["methods"]
     bad = [m for m in methods if m not in METHODS]
-    if bad or not depths or not widths or not seeds:
-        print(f"bench: invalid grid or methods {bad}", file=sys.stderr)
+    if bad:
+        print(f"bench: unknown --methods {bad}", file=sys.stderr)
         return EXIT_USAGE
     rows = []
     for depth, width, seed in itertools.product(sorted(depths), sorted(widths),

@@ -21,24 +21,50 @@ reached through numpy's extension module, whose symbol lookup searches the
 libraries it links.  Import fails, naming the symbol, where numpy's BLAS
 lacks one of them (an MKL or Accelerate build of numpy, say).
 
-That OpenBLAS runs on one thread unless the user set a count.  Where
-``import lipbound`` comes first, the package imports numpy with
-``OPENBLAS_NUM_THREADS=1`` and the library loads with one thread; where
-numpy was imported before, this module sets the count to one on import
-(``_pin_openblas_threads``).
+That OpenBLAS runs on one thread unless the user set a count, in
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` (an empty value sets none).
+This module is the one that knows about numpy's OpenBLAS, and the package
+imports it first.  Where numpy is not imported yet, numpy is imported here
+with ``OPENBLAS_NUM_THREADS=1`` for the moment of its import, so its
+OpenBLAS loads with one thread and starts no worker; the environment is
+then put back as it was.  Where numpy was imported before, the count is set
+to one on import (``_pin_openblas_threads``).
 """
 
 from __future__ import annotations
 
-import ctypes
-import math
 import os
+import sys
 
-import numpy as np
-from numpy._core import _multiarray_umath
+# Either variable, when set, is the user's thread count and is left in force.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-from . import _user_sets_threads
-from .errors import NotConverged, NotPositiveDefinite
+
+def _user_sets_threads() -> bool:
+    """Whether the user set an OpenBLAS thread count (an empty value sets none)."""
+    return any(os.environ.get(var) for var in _THREAD_VARIABLES)
+
+
+if "numpy" not in sys.modules and not _user_sets_threads():
+    # OpenBLAS reads the variable once, when it loads; an idle worker
+    # spins for about 0.13 s of CPU in every process
+    _saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if _saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = _saved
+
+import ctypes  # noqa: E402
+import math  # noqa: E402
+
+import numpy as np  # noqa: E402
+from numpy._core import _multiarray_umath  # noqa: E402
+
+from .errors import NotConverged, NotPositiveDefinite  # noqa: E402
 
 _NUMPY_BLAS = ctypes.CDLL(_multiarray_umath.__file__)
 _COL_MAJOR = 102
@@ -71,59 +97,14 @@ _dsyevr = _lapacke("dsyevr", [
     _PTR, _PTR, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT,
 ])
 _set_num_threads = _bind("scipy_openblas_set_num_threads64_", None, [ctypes.c_int])
+_get_num_threads = _bind("scipy_openblas_get_num_threads64_", ctypes.c_int, [])
+_get_config = _bind("scipy_openblas_get_config64_", ctypes.c_char_p, [])
 
 
-def _openblas_libraries() -> list:
-    """(file name, handle) of every OpenBLAS this process has mapped.
-
-    Read from ``/proc/self/maps``, so empty on a platform without it.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return []
-    libraries = []
-    for path in paths:
-        try:
-            libraries.append((os.path.basename(path), ctypes.CDLL(path)))
-        except OSError:  # not a loadable library, e.g. a deleted file
-            continue
-    return libraries
-
-
-def _openblas_function(lib, stem: str, restype, argtypes: list):
-    """OpenBLAS's ``openblas_<stem>`` under the prefix and suffix of its build.
-
-    numpy's copy exports ``scipy_openblas_<stem>64_``, scipy's
-    ``scipy_openblas_<stem>``, a system OpenBLAS ``openblas_<stem>``.
-    None where the library exports none of these.
-    """
-    for prefix in ("", "scipy_"):
-        for suffix in ("", "64_"):
-            fn = getattr(lib, f"{prefix}openblas_{stem}{suffix}", None)
-            if fn is not None:
-                fn.restype, fn.argtypes = restype, argtypes
-                return fn
-    return None
-
-
-def openblas_threads() -> list:
-    """Each loaded OpenBLAS: its file name, build configuration and thread count.
-
-    Lists every copy the process has mapped, so a second one that another
-    import brought in shows up beside numpy's.
-    """
-    found = []
-    for name, lib in _openblas_libraries():
-        threads = _openblas_function(lib, "get_num_threads", ctypes.c_int, [])
-        config = _openblas_function(lib, "get_config", ctypes.c_char_p, [])
-        if threads is not None:
-            entry = {"library": name, "threads": threads()}
-            if config is not None:
-                entry["config"] = config().decode(errors="replace")
-            found.append(entry)
-    return found
+def openblas_threads() -> dict:
+    """numpy's OpenBLAS: its thread count and build configuration."""
+    return {"threads": _get_num_threads(),
+            "config": _get_config().decode(errors="replace")}
 
 
 def _pin_openblas_threads() -> None:
@@ -133,7 +114,7 @@ def _pin_openblas_threads() -> None:
     second thread mostly spins: on 2 cores, ``compute --method best`` on a
     depth-10 width-64 net takes 1.6 s of CPU time at two threads against
     1.05 s at one, in the same wall time.  The count holds for the whole
-    process, library callers included.  Where the package loaded numpy at
+    process, library callers included.  Where this module loaded numpy at
     one thread this changes nothing; where numpy came first, its pool's
     workers were started at load and stay, but are no longer handed work.
     """

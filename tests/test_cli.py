@@ -156,16 +156,18 @@ class TestCompute:
         best = float(capsys.readouterr().out.split("bound=")[1].split()[0])
         assert best <= fast * (1.0 + 1e-12)
 
-    def test_sweep_flag(self, oracle_path, tmp_path):
+    def test_sweep_flag(self, oracle_path, tmp_path, capsys):
         report_path = tmp_path / "r.json"
         assert main(["compute", "--net", str(oracle_path), "--method", "sn",
                      "--sweep", "0.5:1.5:0.5", "--o", str(report_path)]) == 0
         payload = json.loads(report_path.read_text())
         assert payload["config"]["c"] == 1.0
         assert [p["c"] for p in payload["sweep"]["points"]] == [0.5, 1.0, 1.5]
-        for sweep in ("1:0.5:0.1", "0.5:1.5:0", "0:inf:1"):
+        # the last has finite bounds and step, but no finite point count
+        for sweep in ("1:0.5:0.1", "0.5:1.5:0", "0:inf:1", "0:1e308:1e-308"):
             assert main(["compute", "--net", str(oracle_path), "--method", "sn",
                          "--sweep", sweep]) == 2
+            assert "--sweep requires" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sweep", ["1:2", "1:2:3:4", "a:b:c"])
     def test_malformed_sweep_names_the_form(self, oracle_path, capsys, sweep):
@@ -655,6 +657,14 @@ class TestBench:
     def test_bad_method_exit_2(self, tmp_path):
         assert main(["bench", "--depths", "2", "--widths", "3",
                      "--methods", "nope", "--o", str(tmp_path / "b.csv")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--depths", "--widths", "--seeds"])
+    def test_empty_grid_list_names_its_flag(self, tmp_path, capsys, flag):
+        argv = {"--depths": "2", "--widths": "4", "--seeds": "0", flag: ","}
+        assert main(["bench", *(v for item in argv.items() for v in item),
+                     "--o", str(tmp_path / "b.csv")]) == 2
+        assert f"bench: {flag} names no {flag[2:-1]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_method_list_exit_2_before_writing(self, tmp_path, capsys):
         out = tmp_path / "b.csv"

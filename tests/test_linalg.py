@@ -359,37 +359,32 @@ def _child_output(code: str, **variables):
     return json.loads(child.stdout)
 
 
-def _threads_after_import(first: str = "", **variables) -> list:
-    """Thread counts of every loaded OpenBLAS after ``first`` then `import lipbound`.
+def _threads_after_import(first: str = "", **variables) -> int:
+    """numpy's OpenBLAS thread count after ``first`` then `import lipbound`.
 
     The import runs in a new process (see ``_child_output``).
     """
     code = (f"{first}import json, lipbound; from lipbound.linalg import openblas_threads; "
             "print(json.dumps(openblas_threads()))")
-    libraries = _child_output(code, **variables)
-    if not libraries:
-        pytest.skip("no OpenBLAS listed: this platform has no /proc/self/maps")
-    return [lib["threads"] for lib in libraries]
+    return _child_output(code, **variables)["threads"]
 
 
 class TestOpenblasThreads:
     def test_import_pins_every_openblas_to_one_thread(self):
-        threads = _threads_after_import()
-        assert threads == [1] * len(threads)
+        assert _threads_after_import() == 1
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps threads at cores")
     @pytest.mark.parametrize("variable", THREAD_VARIABLES)
     def test_user_thread_count_left_in_force(self, variable):
-        threads = _threads_after_import(**{variable: "2"})
-        assert threads == [2] * len(threads)
+        assert _threads_after_import(**{variable: "2"}) == 2
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
     def test_import_starts_no_blas_worker(self):
         code = ("import json, os, lipbound; from lipbound.linalg import openblas_threads; "
                 "print(json.dumps([os.listdir('/proc/self/task'), openblas_threads()]))")
-        tasks, libraries = _child_output(code)
+        tasks, openblas = _child_output(code)
         assert len(tasks) == 1
-        assert [lib["threads"] for lib in libraries] == [1]
+        assert openblas["threads"] == 1
 
     @pytest.mark.parametrize("variables", [{}, {"OPENBLAS_NUM_THREADS": ""},
                                            {"OMP_NUM_THREADS": ""}],
@@ -403,8 +398,7 @@ class TestOpenblasThreads:
             assert after[name] == value
 
     def test_numpy_imported_first_still_one_thread(self):
-        threads = _threads_after_import(first="import numpy; ")
-        assert threads == [1] * len(threads)
+        assert _threads_after_import(first="import numpy; ") == 1
 
     def test_manifest_numeric_block_is_strict_json(self, tmp_path):
         net, report, verified = (tmp_path / name for name in ("net.json", "r.json", "v.json"))
@@ -424,8 +418,38 @@ class TestOpenblasThreads:
             assert numeric["numpy"] == np.__version__
             assert numeric["cpu_count"] == os.cpu_count()
             assert numeric["openblas"] == openblas_threads()
-            assert all(isinstance(lib["threads"], int) and lib["threads"] >= 1
-                       for lib in numeric["openblas"])
+            assert set(numeric["openblas"]) == {"threads", "config"}
+            assert isinstance(numeric["openblas"]["threads"], int)
+            assert numeric["openblas"]["threads"] >= 1
+            assert numeric["openblas"]["config"].startswith("OpenBLAS")
+
+    def test_manifest_reports_threads_without_proc_self_maps(self, tmp_path):
+        """The thread query reaches numpy's library by symbol, not by file scan."""
+        net, report = tmp_path / "net.json", tmp_path / "r.json"
+        assert main(["gen", "--layers", "2", "--width", "4", "--in", "3", "--out", "2",
+                     "--seed", "0", "--o", str(net)]) == 0
+        code = f"""
+import builtins, contextlib, io, json
+from lipbound.cli import main
+from lipbound.linalg import openblas_threads
+real_open = builtins.open
+
+def no_maps(file, *args, **kwargs):
+    if str(file) == "/proc/self/maps":
+        raise OSError("no /proc/self/maps")
+    return real_open(file, *args, **kwargs)
+
+builtins.open = no_maps
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["compute", "--net", {str(net)!r}, "--method", "fast",
+                 "--o", {str(report)!r}]) == 0
+builtins.open = real_open
+print(json.dumps([openblas_threads(),
+                  json.load(open({str(report)!r}))["manifest"]["numeric"]["openblas"]]))
+"""
+        expected, reported = _child_output(code)
+        assert reported == expected
+        assert reported["threads"] == 1
 
 
 def test_cli_never_loads_scipy(tmp_path):
@@ -438,15 +462,19 @@ assert main(["gen", "--layers", "3", "--width", "8", "--in", "6", "--out", "2",
              "--seed", "0", "--o", {str(net)!r}]) == 0
 assert main(["compute", "--net", {str(net)!r}, "--method", "best", "--o", {str(report)!r}]) == 0
 assert main(["verify", "--net", {str(net)!r}, "--report", {str(report)!r}, "--samples", "5"]) == 0
-libraries = json.load(open({str(report)!r}))["manifest"]["numeric"]["openblas"]
-print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), libraries]))
+try:
+    with open("/proc/self/maps") as fh:
+        mapped = sorted({{line.split()[-1] for line in fh if "openblas" in line}})
+except OSError:
+    mapped = None
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), mapped]))
 """
     env = dict(os.environ)
     src = str(Path(lipbound.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, timeout=120, check=True)
-    scipy_modules, libraries = json.loads(child.stdout.splitlines()[-1])
+    scipy_modules, mapped = json.loads(child.stdout.splitlines()[-1])
     assert scipy_modules == []
     if sys.platform.startswith("linux"):
-        assert len(libraries) == 1
+        assert len(mapped) == 1
