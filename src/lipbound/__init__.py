@@ -40,7 +40,6 @@ from .errors import (
 )
 from .network import (
     Network,
-    forward,
     generate_random,
     jacobian_norms,
     jacobian_sigma,
@@ -65,7 +64,6 @@ __all__ = [
     "assemble_lipsdp",
     "empirical_lower_bound",
     "evaluate",
-    "forward",
     "generate_random",
     "jacobian_norms",
     "jacobian_sigma",

@@ -30,6 +30,8 @@ stops a point at layer k once T_k = lambda_max(P_k M_k^{-1} P_k^T), with
 P_k = W_{l+1} ... W_k, exceeds the smallest gamma so far: T_k never
 decreases along the recursion and ends at the point's gamma, so such a
 point cannot win, and the winner is the same as without the stop.
+``run_recursion`` raises ``Pruned(k)`` there, as it raises
+``DefinitenessLost(k)`` where definiteness is lost.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .certify import certifies_nothing
-from .errors import AllInfeasible, DefinitenessLost, NotPositiveDefinite
+from .errors import AllInfeasible, DefinitenessLost, LipboundError, NotPositiveDefinite
 from .linalg import (
     cholesky,
     gamma_matrix,
@@ -51,7 +54,6 @@ from .linalg import (
     row_abs_sums,
     scaled_row_sums,
     solve_lower,
-    spectral_norm,
     spectral_upper_bound,
     top_eigenvalue,
 )
@@ -200,12 +202,17 @@ class BoundReport:
 # between T_k and the gamma the point would end at.
 PRUNE_MARGIN = 1e-9
 
+# The kernel for a top eigenvalue, by ``certified``: LAPACK's eigen-solve,
+# or the rigorous row-sum bound, which no rounding can put below it.
+_TOP = {False: top_eigenvalue, True: spectral_upper_bound}
 
-@dataclass(frozen=True)
-class Pruned:
+
+class Pruned(LipboundError):
     """A sweep point stopped at ``layer``: its bound could not beat the incumbent."""
 
-    layer: int
+    def __init__(self, layer: int):
+        self.layer = layer
+        super().__init__(f"sweep point stopped at layer {layer}")
 
 
 def _tails(net: Network) -> list:
@@ -231,19 +238,24 @@ class _Workspace:
     since M_1 = I.  Each layer shape has its arrays, allocated once: X for
     ``gamma_matrix``, G, and M, which ``cholesky`` turns into L in place.
     One M per order serves as both L_k and M_{k+1}, since L_k is dead once
-    G_k is formed.  A sweep's workspace also holds the tails P_k and the
-    incumbent gamma, which together stop a point that cannot win; a single
-    run's holds neither and never stops.
+    G_k is formed.  It also holds the incumbent gamma, which a sweep lowers
+    as it goes, and the tails P_k, built the first time the incumbent is
+    finite; together they stop a point that cannot win.  A single run's
+    incumbent stays inf, so it never builds the tails and never stops.
     """
 
-    def __init__(self, net: Network, sweep: bool = False):
+    def __init__(self, net: Network):
         with np.errstate(all="ignore"):
             self.g1 = gamma_matrix(net.weights[0], np.eye(net.dims[0]))
         self.g1.flags.writeable = False
-        self.weights = net.weights
-        self.tails = _tails(net) if sweep else None
+        self.net = net
         self.incumbent = math.inf
         self._arrays = {}
+
+    @cached_property
+    def tails(self) -> list:
+        """``_tails`` of this net, built on first use."""
+        return _tails(self.net)
 
     def array(self, name: str, rows: int, cols: int) -> np.ndarray:
         """The one ``rows`` x ``cols`` array of this name (X and M Fortran-ordered)."""
@@ -256,7 +268,7 @@ class _Workspace:
         """G_{k+1} = W_{k+1} M_{k+1}^{-1} W_{k+1}^T in this workspace's arrays."""
         if k == 0:
             return self.g1
-        W = self.weights[k]
+        W = self.net.weights[k]
         m, n = W.shape
         return gamma_matrix(W, L, self.array("X", n, m), self.array("G", m, m))
 
@@ -281,7 +293,7 @@ class _Workspace:
         only where the threshold lies between these two.  A tail outside
         the float range stops nothing: pruning only saves time.
         """
-        if self.tails is None or not self.incumbent < math.inf:
+        if not self.incumbent < math.inf:
             return False
         H = self.tail_gram(k, L)
         if H is None:
@@ -296,12 +308,13 @@ class _Workspace:
 def run_recursion(net: Network, cfg: StrategyConfig, *, _work: _Workspace | None = None):
     """Run the layer recursion under the given strategy; its BoundReport.
 
-    Raises DefinitenessLost(layer) if M_{k+1} fails Cholesky, signalling
-    that the multiplier choice violated strict feasibility numerically, or
-    if an intermediate or the final gamma leaves the float range; sweeps
-    treat that c as infeasible.  ``evaluate``'s sweeps pass their shared
-    workspace, and there a point that cannot beat the sweep's incumbent
-    stops and returns Pruned(layer) instead.
+    Returns a report or raises, one of two ways.  DefinitenessLost(layer)
+    if M_{k+1} fails Cholesky, signalling that the multiplier choice
+    violated strict feasibility numerically, or if an intermediate or the
+    final gamma leaves the float range; sweeps treat that c as infeasible.
+    Pruned(layer) only inside a sweep: ``evaluate``'s sweeps pass their
+    shared workspace, and there a point that cannot beat the sweep's
+    incumbent stops.
     """
     if cfg.method not in STRATEGIES:
         raise ValueError(f"method {cfg.method!r} has no per-layer multiplier")
@@ -314,7 +327,7 @@ def run_recursion(net: Network, cfg: StrategyConfig, *, _work: _Workspace | None
     per_layer = []
     for k in range(l):
         if k and work.beaten(k + 1, L):
-            return Pruned(k + 1)
+            raise Pruned(k + 1)
         n = net.weights[k].shape[0]
         M = work.array("M", n, n)
         # extreme c values can over/underflow on deep nets; treat any
@@ -346,7 +359,7 @@ def run_recursion(net: Network, cfg: StrategyConfig, *, _work: _Workspace | None
         G_out = work.gamma(l, L)
         if not np.all(np.isfinite(G_out)):
             raise DefinitenessLost(l + 1)
-        gamma = spectral_upper_bound(G_out) if cfg.certified else top_eigenvalue(G_out)
+        gamma = _TOP[cfg.certified](G_out)
     if certifies_nothing(gamma, net):
         raise DefinitenessLost(l + 1)
     bound = math.sqrt(max(gamma, 0.0))
@@ -372,41 +385,29 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
     layer, where no feasible point has a zero gamma.
     """
     t0 = time.perf_counter()
-    cfg = StrategyConfig("product", certified=certified)
-    sigmas = []
-    for W in net.weights:
-        if certified:
-            scaled, e = pow2_scaled(W)
-            sigmas.append(math.ldexp(math.sqrt(spectral_upper_bound(gram(scaled))), e))
-        else:
-            sigmas.append(spectral_norm(W))
+    # each norm from the Gram matrix of W / 2**e, which cannot overflow
+    sigmas = [math.ldexp(math.sqrt(max(_TOP[certified](gram(scaled)), 0.0)), e)
+              for scaled, e in map(pow2_scaled, net.weights)]
     bound = math.prod(sigmas)
     gamma = bound * bound
     if certifies_nothing(gamma, net):
         raise DefinitenessLost(net.depth + 1)
-
-    def check(k, *values):
-        if not all(map(math.isfinite, values)) or (
-                0.0 in values and 0.0 not in sigmas[:k]):
-            raise DefinitenessLost(k)
-
     lambdas = []
     cum = 1.0
     for k in range(net.depth):
         cum *= sigmas[k] * sigmas[k]  # s ** 2 raises OverflowError
         # zero layers collapse the product; any positive diagonal works there
         lam = 1.0 / cum if cum > 0.0 else 1.0
-        check(k + 1, cum, lam)
+        if not (math.isfinite(cum) and math.isfinite(lam)) or (
+                cum == 0.0 and 0.0 not in sigmas[:k + 1]):
+            raise DefinitenessLost(k + 1)
         lambdas.append(np.full(net.dims[k + 1], lam))
-    per_layer = [
-        {"layer": k + 1, "stat": s, "min_m_diag": None}
-        for k, s in enumerate(sigmas)
-    ]
     return BoundReport(
         method="product",
-        config=cfg,
+        config=StrategyConfig("product", certified=certified),
         bound=bound,
-        per_layer=per_layer,
+        per_layer=[{"layer": k + 1, "stat": s, "min_m_diag": None}
+                   for k, s in enumerate(sigmas)],
         wall_time=time.perf_counter() - t0,
         multipliers=MultiplierSequence(lambdas, gamma),
     )
@@ -466,7 +467,7 @@ def evaluate(
             return STRATEGIES[m].grid if reads(m) else [(1.0, 0.5)]
         return [(float(v), 0.5 if theta is None else theta) for v in own]
 
-    work = None if single else _Workspace(net, sweep=True)
+    work = _Workspace(net)
     best, points = None, []
     for m in METHODS if method == "best" else (method,):
         for v, t in points_of(m):
@@ -475,18 +476,16 @@ def evaluate(
             try:
                 report = (product_bound(net, certified) if m == "product"
                           else run_recursion(net, cfg, _work=work))
-            except DefinitenessLost as exc:
+            except (DefinitenessLost, Pruned) as exc:
                 if single:
                     raise
-                report, why = None, {"lost_at": exc.layer}
-            if isinstance(report, Pruned):
-                report, why = None, {"pruned_at": report.layer}
+                key = "pruned_at" if isinstance(exc, Pruned) else "lost_at"
+                report, why = None, {key: exc.layer}
             points.append({"method": m, **{p: getattr(cfg, p) for p in reads(m)},
                            "bound": None if report is None else report.bound, **why})
             if report is not None and (best is None or report.bound < best.bound):
                 best = report
-                if work is not None:
-                    work.incumbent = best.multipliers.gamma
+                work.incumbent = best.multipliers.gamma
     if best is None:
         raise AllInfeasible("every method failed" if method == "best" else
                             f"all {len(points)} grid points infeasible for {method!r}")

@@ -8,8 +8,9 @@ Subcommands:
 - ``bench``    sweep depth/width/seed grids and emit a CSV
 
 Exit codes: 0 success, 2 invalid arguments (among them ``--c`` or
-``--sweep`` for a method that takes no c, and ``--theta`` anywhere but with
-``--c`` or ``--sweep`` for a method that reads theta), unreadable input, a
+``--sweep`` for a method that takes no c, a ``--sweep`` of more than
+``MAX_SWEEP_POINTS`` points, and ``--theta`` anywhere but with ``--c`` or
+``--sweep`` for a method that reads theta), unreadable input, a
 network with a non-finite entry or an empty layer, a malformed report or one
 that does not fit its network, 3 I/O failure, 4 definiteness lost without a
 sweep fallback, 5 all sweep points (for ``best``, all methods; for
@@ -52,6 +53,9 @@ EXIT_IO = 3
 EXIT_DEFINITENESS = 4
 EXIT_INFEASIBLE = 5
 EXIT_VALIDATION = 6
+
+# The most points a --sweep may expand to, checked before the list is built.
+MAX_SWEEP_POINTS = 100_000
 
 
 def _manifest(command: str, args: argparse.Namespace) -> dict:
@@ -142,7 +146,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if not (step > 0 and hi >= lo and math.isfinite((hi - lo) / step)):
             raise ValueError("--sweep requires step > 0, finite hi >= lo and a finite "
                              "number of points")
-        grid = [lo + i * step for i in range(math.floor((hi - lo) / step + 1e-12) + 1)]
+        count = math.floor((hi - lo) / step + 1e-12) + 1
+        if count > MAX_SWEEP_POINTS:
+            raise ValueError(f"--sweep requires at most {MAX_SWEEP_POINTS} points, "
+                             f"got {count:g}")
+        grid = [lo + i * step for i in range(count)]
     report = evaluate(
         net, args.method, args.c, grid, theta=args.theta, certified=args.certified
     )
@@ -223,9 +231,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not lists[flag]:
             print(f"bench: --{flag} names no {flag[:-1]}", file=sys.stderr)
             return EXIT_USAGE
-    depths, widths, seeds = ([int(v) for v in lists[flag]]
-                             for flag in ("depths", "widths", "seeds"))
-    methods = lists["methods"]
+        for i, v in enumerate(lists[flag] if flag != "methods" else ()):
+            try:
+                lists[flag][i] = int(v)
+            except ValueError:
+                print(f"bench: --{flag} takes integers, got {v!r}", file=sys.stderr)
+                return EXIT_USAGE
+    depths, widths, seeds, methods = lists.values()
     bad = [m for m in methods if m not in METHODS]
     if bad:
         print(f"bench: unknown --methods {bad}", file=sys.stderr)

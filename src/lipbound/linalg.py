@@ -238,12 +238,6 @@ def pow2_scaled(W: np.ndarray) -> tuple:
     return np.ldexp(W, -e), e
 
 
-def spectral_norm(W: np.ndarray) -> float:
-    """Largest singular value of a (possibly rectangular) matrix."""
-    scaled, e = pow2_scaled(W)
-    return math.ldexp(math.sqrt(max(top_eigenvalue(gram(scaled)), 0.0)), e)
-
-
 def row_abs_sums(G: np.ndarray) -> np.ndarray:
     """Per-row sums of absolute values (Gershgorin radii plus diagonal)."""
     return np.abs(G).sum(axis=1)

@@ -267,22 +267,6 @@ def generate_random(
     return Network(tuple(weights), None, activation)
 
 
-def forward(net: Network, x) -> np.ndarray:
-    """Evaluate the network at x."""
-    x = np.asarray(x, dtype=np.float64)
-    n0 = net.dims[0]
-    if x.shape != (n0,):
-        raise DimensionMismatch(f"input must have shape ({n0},), got {x.shape}")
-    h = x
-    last = len(net.weights) - 1
-    for k, W in enumerate(net.weights):
-        z = W @ h
-        if net.biases is not None:
-            z = z + net.biases[k]
-        h = z if k == last else _ACT[net.activation](z)
-    return h
-
-
 # jacobian_norms works on blocks of at most _BLOCK_ROWS sample rows, and
 # on fewer where needed to keep a block's derivative stack and Jacobians
 # within _BLOCK_FLOATS floats.

@@ -8,10 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
+import lipbound.bounds
 from lipbound.bounds import (
     FALLBACK_MULTIPLIER,
     METHODS,
     STRATEGIES,
+    Pruned,
     StrategyConfig,
     _Workspace,
     evaluate,
@@ -533,6 +535,27 @@ class TestPruning:
             report = evaluate(n60(), "best")
         assert any(H is None for H in seen)
         assert (report.method, report.config.c) == ("gc", 1.25)
+
+    def test_single_runs_build_no_tails(self, monkeypatch):
+        def refused(net):
+            raise AssertionError("tails built")
+
+        monkeypatch.setattr(lipbound.bounds, "_tails", refused)
+        net = generate_random(3, 8, 8, 3, 5)
+        run_recursion(net, StrategyConfig("gc", c=1.0))
+        evaluate(net, "gc", c=1.0)
+        evaluate(net, "fast")
+        # a sweep builds them once its incumbent is finite
+        with pytest.raises(AssertionError, match="tails built"):
+            evaluate(net, "gc")
+
+    def test_beaten_point_raises_pruned(self):
+        net = generate_random(3, 8, 8, 3, 5)
+        work = _Workspace(net)
+        work.incumbent = 1e-30
+        with pytest.raises(Pruned) as exc_info:
+            run_recursion(net, StrategyConfig("gc", c=1.0), _work=work)
+        assert exc_info.value.layer == 2
 
     def test_certified_winner_pinned(self):
         report = evaluate(generate_random(3, 8, 8, 3, seed=5), "best", certified=True)

@@ -163,11 +163,18 @@ class TestCompute:
         payload = json.loads(report_path.read_text())
         assert payload["config"]["c"] == 1.0
         assert [p["c"] for p in payload["sweep"]["points"]] == [0.5, 1.0, 1.5]
-        # the last has finite bounds and step, but no finite point count
-        for sweep in ("1:0.5:0.1", "0.5:1.5:0", "0:inf:1", "0:1e308:1e-308"):
+        # the fourth has finite bounds and step, but no finite point count,
+        # and the last 1e300 points, refused before any list is built
+        for sweep in ("1:0.5:0.1", "0.5:1.5:0", "0:inf:1", "0:1e308:1e-308", "0:1:1e-300"):
             assert main(["compute", "--net", str(oracle_path), "--method", "sn",
                          "--sweep", sweep]) == 2
             assert "--sweep requires" in capsys.readouterr().err
+
+    def test_sweep_point_limit(self, oracle_path, capsys):
+        # 0, 1, ..., 100000: one point more than the limit
+        assert main(["compute", "--net", str(oracle_path), "--method", "gc",
+                     "--sweep", "0:100000:1"]) == 2
+        assert "--sweep requires at most 100000 points, got 100001" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sweep", ["1:2", "1:2:3:4", "a:b:c"])
     def test_malformed_sweep_names_the_form(self, oracle_path, capsys, sweep):
@@ -664,6 +671,14 @@ class TestBench:
         assert main(["bench", *(v for item in argv.items() for v in item),
                      "--o", str(tmp_path / "b.csv")]) == 2
         assert f"bench: {flag} names no {flag[2:-1]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--depths", "--widths", "--seeds"])
+    def test_non_integer_grid_value_names_its_flag(self, tmp_path, capsys, flag):
+        argv = {"--depths": "2", "--widths": "4", "--seeds": "0", flag: "2,x"}
+        assert main(["bench", *(v for item in argv.items() for v in item),
+                     "--o", str(tmp_path / "b.csv")]) == 2
+        assert f"bench: {flag} takes integers, got 'x'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_method_list_exit_2_before_writing(self, tmp_path, capsys):

@@ -1,14 +1,15 @@
 """Tests for the network model, persistence, generation, and evaluation."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from lipbound.cli import main
 from lipbound.errors import DimensionChainError, DimensionMismatch, ParseError
 from lipbound.network import (
     Network,
-    forward,
     generate_random,
     jacobian_norms,
     jacobian_sigma,
@@ -153,6 +154,37 @@ class TestPersistence:
             load_network(path)
         assert exc_info.value.layer == 2
 
+    # a file case holds the file's bytes: load_network must name its fault,
+    # and compute refuse it with exit 2; the other cases build no file
+    @pytest.mark.parametrize("case,error,message", [
+        pytest.param(b"[]", ParseError, "must be an object", id="not-an-object"),
+        pytest.param(b'{"layer": []}', ParseError, "must be an object", id="no-layers"),
+        pytest.param(b'{"layers": []}', ParseError, "non-empty list", id="empty-layers"),
+        pytest.param(b'{"layers": 3}', ParseError, "non-empty list", id="layers-not-a-list"),
+        pytest.param(b"LNET", ParseError, "truncated binary header", id="truncated-header"),
+        pytest.param(b"LNET" + struct.pack("<IBBHI", 2, 1, 0, 0, 1), ParseError,
+                     "bad magic or unsupported binary version", id="bad-version"),
+        pytest.param(b"LNET" + struct.pack("<IBBHI", 1, 3, 0, 0, 1), ParseError,
+                     "unknown activation code", id="bad-activation"),
+        pytest.param(b"\xff\xfe{}", ParseError, "neither UTF-8 JSON nor LNET",
+                     id="not-utf8"),
+        pytest.param(lambda: Network((np.eye(2), np.eye(2)), biases=(np.zeros(2),)),
+                     DimensionChainError, "bias count", id="bias-count"),
+        pytest.param(lambda: generate_random(2, 0, 3, 3, seed=0), ValueError,
+                     "dimensions must be at least 1", id="zero-width"),
+    ])
+    def test_input_error_named(self, tmp_path, capsys, case, error, message):
+        if callable(case):
+            with pytest.raises(error, match=message):
+                case()
+            return
+        path = tmp_path / "bad.net"
+        path.write_bytes(case)
+        with pytest.raises(error, match=message):
+            load_network(path)
+        assert main(["compute", "--net", str(path), "--method", "fast"]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestGeneration:
     def test_deterministic(self):
@@ -189,31 +221,6 @@ class TestGeneration:
         for W in net.weights:
             s = float(np.linalg.svd(W, compute_uv=False)[0])
             assert 0.5 < s < 4.0
-
-
-class TestForward:
-    def test_odd_activation_at_origin(self):
-        net = Network((np.eye(2), np.eye(2)), activation="tanh")
-        np.testing.assert_array_equal(forward(net, np.zeros(2)), np.zeros(2))
-
-    def test_relu_kills_negative(self):
-        net = Network((np.array([[1.0]]), np.array([[1.0]])), activation="relu")
-        assert forward(net, np.array([-1.0]))[0] == 0.0
-
-    def test_tanh_hand_formula(self):
-        net = scalar_net("tanh")
-        got = forward(net, np.array([0.1]))[0]
-        assert abs(got - 3.0 * math.tanh(0.2)) <= 1e-15
-
-    def test_bias_applied(self):
-        net = Network(
-            (np.array([[1.0]]),), biases=(np.array([2.5]),), activation="relu"
-        )
-        assert forward(net, np.array([1.0]))[0] == 3.5
-
-    def test_dimension_checked(self):
-        with pytest.raises(DimensionMismatch):
-            forward(scalar_net(), np.zeros(2))
 
 
 class TestJacobianSigma:
