@@ -49,11 +49,10 @@ from .errors import AllInfeasible, DefinitenessLost, LipboundError, NotPositiveD
 from .linalg import (
     cholesky,
     gamma_matrix,
-    gram,
-    pow2_scaled,
     row_abs_sums,
     scaled_row_sums,
     solve_lower,
+    spectral_norms,
     spectral_upper_bound,
     top_eigenvalue,
 )
@@ -380,14 +379,13 @@ def product_bound(net: Network, certified: bool = False) -> BoundReport:
     sigma_max(W_m)^2 with gamma the squared product, so product reports can
     be verified through the same feasibility machinery.  Raises
     DefinitenessLost(k) if a cumulative product, its multiplier or gamma is
-    not finite, if a cumulative product is zero without an all-zero layer,
-    or, as in ``run_recursion``, if gamma is zero under a nonzero output
-    layer, where no feasible point has a zero gamma.
+    not finite (gamma is, where a layer norm is beyond the float range), if
+    a cumulative product is zero without an all-zero layer, or, as in
+    ``run_recursion``, if gamma is zero under a nonzero output layer, where
+    no feasible point has a zero gamma.
     """
     t0 = time.perf_counter()
-    # each norm from the Gram matrix of W / 2**e, which cannot overflow
-    sigmas = [math.ldexp(math.sqrt(max(_TOP[certified](gram(scaled)), 0.0)), e)
-              for scaled, e in map(pow2_scaled, net.weights)]
+    sigmas = [float(spectral_norms(W, _TOP[certified])) for W in net.weights]
     bound = math.prod(sigmas)
     gamma = bound * bound
     if certifies_nothing(gamma, net):

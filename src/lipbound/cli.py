@@ -45,7 +45,7 @@ from .errors import (
     ValidationFailed,
 )
 from .linalg import openblas_threads
-from .network import generate_random, load_network, save_network
+from .network import ACTIVATIONS, generate_random, load_network, save_network
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--in", dest="in_dim", type=int, required=True)
     gen.add_argument("--out", dest="out_dim", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--activation", default="tanh", choices=("relu", "tanh", "sigmoid"))
+    gen.add_argument("--activation", default="tanh", choices=tuple(ACTIVATIONS))
     gen.add_argument("--binary", action="store_true", help="write LNET binary format")
     gen.add_argument("--o", dest="output", default="net.json")
 
@@ -143,10 +143,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
             lo, hi, step = (float(v) for v in args.sweep.split(":"))
         except ValueError:
             raise ValueError(f"--sweep takes LO:HI:STEP, got {args.sweep!r}") from None
-        if not (step > 0 and hi >= lo and math.isfinite((hi - lo) / step)):
+        # the slack is relative, so HI stays a point however many there are
+        steps = (hi - lo) / step * (1 + 1e-12) if step > 0 else math.nan
+        if not (hi >= lo and math.isfinite(steps)):
             raise ValueError("--sweep requires step > 0, finite hi >= lo and a finite "
                              "number of points")
-        count = math.floor((hi - lo) / step + 1e-12) + 1
+        count = math.floor(steps) + 1
         if count > MAX_SWEEP_POINTS:
             raise ValueError(f"--sweep requires at most {MAX_SWEEP_POINTS} points, "
                              f"got {count:g}")
@@ -229,19 +231,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for flag in ("depths", "widths", "seeds", "methods"):
         lists[flag] = [v.strip() for v in getattr(args, flag).split(",") if v.strip()]
         if not lists[flag]:
-            print(f"bench: --{flag} names no {flag[:-1]}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"bench: --{flag} names no {flag[:-1]}")
         for i, v in enumerate(lists[flag] if flag != "methods" else ()):
             try:
                 lists[flag][i] = int(v)
             except ValueError:
-                print(f"bench: --{flag} takes integers, got {v!r}", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(f"bench: --{flag} takes integers, got {v!r}") from None
     depths, widths, seeds, methods = lists.values()
     bad = [m for m in methods if m not in METHODS]
     if bad:
-        print(f"bench: unknown --methods {bad}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"bench: unknown --methods {bad}")
     rows = []
     for depth, width, seed in itertools.product(sorted(depths), sorted(widths),
                                                 sorted(seeds)):

@@ -59,7 +59,6 @@ if "numpy" not in sys.modules and not _user_sets_threads():
             os.environ["OPENBLAS_NUM_THREADS"] = _saved
 
 import ctypes  # noqa: E402
-import math  # noqa: E402
 
 import numpy as np  # noqa: E402
 from numpy._core import _multiarray_umath  # noqa: E402
@@ -225,17 +224,29 @@ def top_eigenvalue(S: np.ndarray) -> float:
 
 
 def gram(W: np.ndarray) -> np.ndarray:
-    """The smaller of the two Gram matrices W @ W.T and W.T @ W.
+    """The smaller of the two Gram matrices W @ W.T and W.T @ W, of each matrix.
 
-    Both come from one ``syrk`` call, so the result is exactly symmetric.
+    W is one matrix or a stack of them.  Each Gram matrix comes from one
+    ``syrk`` call, so the result is exactly symmetric.
     """
-    return W @ W.T if W.shape[0] <= W.shape[1] else W.T @ W
+    WT = W.swapaxes(-1, -2)
+    return W @ WT if W.shape[-2] <= W.shape[-1] else WT @ W
 
 
-def pow2_scaled(W: np.ndarray) -> tuple:
-    """(W / 2**e, e) with 2**e just above W's largest entry: exact, safe to square."""
-    e = math.frexp(float(np.abs(W).max()))[1]
-    return np.ldexp(W, -e), e
+def spectral_norms(A: np.ndarray, top=None) -> np.ndarray:
+    """Largest singular value of a matrix, or of each matrix of a stack.
+
+    Each matrix is divided by the power of two just above its largest
+    entry, which is exact, so its Gram matrix can neither overflow nor
+    underflow.  ``top`` takes the largest eigenvalue of the Gram matrix
+    (or matrices) that it is handed; by default one batched ``eigvalsh``.
+    A norm beyond the float range comes back as ``inf``, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        e = np.frexp(np.abs(A).max(axis=(-2, -1)))[1]
+        G = gram(np.ldexp(A, -e[..., None, None]))
+        t = np.linalg.eigvalsh(G)[..., -1] if top is None else top(G)
+        return np.ldexp(np.sqrt(np.maximum(t, 0.0)), e)
 
 
 def row_abs_sums(G: np.ndarray) -> np.ndarray:

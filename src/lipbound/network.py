@@ -12,7 +12,8 @@ optional binary sidecar format exists for wide networks: little-endian,
 header ``magic "LNET" | version u32 | activation u8 | has_bias u8 |
 pad u16 | n_layers u32``, then a layer table of (rows u32, cols u32)
 pairs, then per-layer row-major float64 weights, then per-layer float64
-biases if present.
+biases if present.  The activation code is the activation's place in
+``ACTIVATIONS``.
 
 Random generation uses numpy's counter-based Philox generator keyed by the
 seed, with standard-normal draws scaled by 1/sqrt(fan-in), so the same
@@ -30,32 +31,24 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionChainError, DimensionMismatch, ParseError
+from .linalg import spectral_norms
 
-ACTIVATIONS = ("relu", "tanh", "sigmoid")
+# Each activation's function and its derivative, the derivative written in
+# terms of the activation's value h, so a layer evaluates its activation
+# once.  relu's derivative is 0 at exactly zero pre-activation:
+# deterministic and still a valid lower-bound sample.  The order is the
+# LNET activation code: relu 0, tanh 1, sigmoid 2.
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda h: (h > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda h: 1.0 - h * h),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda h: h * (1.0 - h)),
+}
 
 _MAGIC = b"LNET"
 _BINARY_VERSION = 1
-
-
-def _relu(z):
-    return np.maximum(z, 0.0)
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-_ACT = {"relu": _relu, "tanh": np.tanh, "sigmoid": _sigmoid}
-
-
-# Each derivative written in terms of the activation's value h, so a layer
-# evaluates its activation once.  relu's derivative is 0 at exactly zero
-# pre-activation: deterministic and still a valid lower-bound sample.
-_DERIV = {
-    "relu": lambda h: (h > 0.0).astype(np.float64),
-    "tanh": lambda h: 1.0 - h * h,
-    "sigmoid": lambda h: h * (1.0 - h),
-}
+# the LNET header and one layer-table entry, laid out in the module docstring
+_HEADER = struct.Struct("<4sIBBHI")
+_SHAPE = struct.Struct("<II")
 
 
 @dataclass(frozen=True)
@@ -152,18 +145,17 @@ def _parse_json(text: str) -> Network:
 
 
 def _parse_binary(data: bytes) -> Network:
-    head = struct.Struct("<4sIBBHI")
-    if len(data) < head.size:
+    if len(data) < _HEADER.size:
         raise ParseError("truncated binary header")
-    magic, version, act_idx, has_bias, _pad, n_layers = head.unpack_from(data)
+    magic, version, act_idx, has_bias, _pad, n_layers = _HEADER.unpack_from(data)
     if magic != _MAGIC or version != _BINARY_VERSION:
         raise ParseError("bad magic or unsupported binary version")
     if act_idx >= len(ACTIVATIONS):
         raise ParseError("unknown activation code")
-    offset = head.size + 8 * n_layers
+    offset = _HEADER.size + _SHAPE.size * n_layers
     # a truncated table reads as fewer layers, which the length check rejects
-    table = data[head.size:offset]
-    shapes = list(struct.iter_unpack("<II", table[: len(table) - len(table) % 8]))
+    table = data[_HEADER.size:offset]
+    shapes = list(_SHAPE.iter_unpack(table[: len(table) - len(table) % _SHAPE.size]))
     size = offset + 8 * sum(r * c + (r if has_bias else 0) for r, c in shapes)
     if len(data) != size:
         raise ParseError(
@@ -184,7 +176,7 @@ def _parse_binary(data: bytes) -> Network:
             bs.append(np.frombuffer(data, dtype="<f8", count=rows, offset=offset))
             offset += 8 * rows
         biases = tuple(bs)
-    return Network(tuple(weights), biases, ACTIVATIONS[act_idx])
+    return Network(tuple(weights), biases, list(ACTIVATIONS)[act_idx])
 
 
 def load_network(path) -> Network:
@@ -204,18 +196,17 @@ def save_network(net: Network, path, binary: bool = False) -> None:
     path = Path(path)
     if binary:
         parts = [
-            struct.pack(
-                "<4sIBBHI",
+            _HEADER.pack(
                 _MAGIC,
                 _BINARY_VERSION,
-                ACTIVATIONS.index(net.activation),
+                list(ACTIVATIONS).index(net.activation),
                 1 if net.biases is not None else 0,
                 0,
                 len(net.weights),
             )
         ]
         for W in net.weights:
-            parts.append(struct.pack("<II", W.shape[0], W.shape[1]))
+            parts.append(_SHAPE.pack(*W.shape))
         for W in net.weights:
             parts.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
         if net.biases is not None:
@@ -291,13 +282,14 @@ def _block_norms(net: Network, X: np.ndarray, rows: int) -> np.ndarray:
     n = X.shape[0]
     H = np.zeros((rows, X.shape[1]))
     H[:n] = X
+    act, deriv = ACTIVATIONS[net.activation]
     derivs = []
     for k in range(net.depth):
         Z = H @ W[k].T
         if net.biases is not None:
             Z += net.biases[k]
-        H = _ACT[net.activation](Z)
-        derivs.append(_DERIV[net.activation](H[:n]))
+        H = act(Z)
+        derivs.append(deriv(H[:n]))
     if net.dims[-1] <= net.dims[0]:
         J = np.broadcast_to(W[-1], (n,) + W[-1].shape)
         for k in range(net.depth - 1, -1, -1):
@@ -306,15 +298,7 @@ def _block_norms(net: Network, X: np.ndarray, rows: int) -> np.ndarray:
         J = np.broadcast_to(W[0], (n,) + W[0].shape)
         for k in range(net.depth):
             J = W[k + 1] @ (derivs[k][:, :, None] * J)
-    # scale each J by a power of two just above its largest entry, so its
-    # Gram matrix can neither overflow nor underflow; exact, as in
-    # linalg.pow2_scaled
-    e = np.frexp(np.abs(J).max(axis=(1, 2)))[1]
-    J = np.ldexp(J, -e[:, None, None])
-    JT = J.transpose(0, 2, 1)
-    G = J @ JT if J.shape[1] <= J.shape[2] else JT @ J
-    top = np.linalg.eigvalsh(G)[:, -1]
-    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
+    return spectral_norms(J)
 
 
 def jacobian_norms(net: Network, X) -> np.ndarray:

@@ -16,7 +16,8 @@ def float_range_nets():
     about 1e-400), HUGE's first Gram product overflows, and MIXED's
     cumulative product underflows although a recursion still finds a bound.
     ZERO's zero first layer makes the product 0 under a nonzero output
-    layer, and ZERO_HUGE adds a middle layer whose square overflows.
+    layer, and ZERO_HUGE adds a middle layer whose square overflows.  MAX's
+    first layer norm, about 2e308, is itself beyond the float range.
     """
     eye = np.eye(2)
     p80 = generate_random(80, 4, 4, 2, seed=0)
@@ -27,6 +28,7 @@ def float_range_nets():
         "HUGE": Network((1e160 * eye, eye)),
         "ZERO": Network((0.0 * eye, eye, eye)),
         "ZERO_HUGE": Network((0.0 * eye, 1e200 * eye, eye)),
+        "MAX": Network((np.full((2, 2), 1e308), eye)),
     }
 
 

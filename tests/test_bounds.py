@@ -213,7 +213,7 @@ class TestFloatRange:
             assert abs(bound - 1e80) <= 1e-12 * 1e80
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("name", ["P80", "TINY", "HUGE", "ZERO_HUGE"])
+    @pytest.mark.parametrize("name", ["P80", "TINY", "HUGE", "ZERO_HUGE", "MAX"])
     def test_out_of_range_product_refused(self, float_range_nets, name):
         net = float_range_nets[name]
         for certified in (False, True):

@@ -9,7 +9,13 @@ import pytest
 
 from lipbound.bounds import METHODS
 from lipbound.cli import _build_parser, main
-from lipbound.network import Network, generate_random, load_network, save_network
+from lipbound.network import (
+    ACTIVATIONS,
+    Network,
+    generate_random,
+    load_network,
+    save_network,
+)
 
 
 @pytest.fixture
@@ -122,6 +128,11 @@ class TestGen:
     def test_missing_flag_exit_2(self):
         assert main(["gen", "--layers", "1"]) == 2
 
+    def test_activation_choices_follow_the_table(self):
+        gen = _subparser("gen")
+        activation = next(a for a in gen._actions if a.dest == "activation")
+        assert tuple(activation.choices) == tuple(ACTIVATIONS)
+
 
 class TestCompute:
     def test_fast_oracle(self, oracle_path, tmp_path, capsys):
@@ -164,17 +175,22 @@ class TestCompute:
         assert payload["config"]["c"] == 1.0
         assert [p["c"] for p in payload["sweep"]["points"]] == [0.5, 1.0, 1.5]
         # the fourth has finite bounds and step, but no finite point count,
-        # and the last 1e300 points, refused before any list is built
-        for sweep in ("1:0.5:0.1", "0.5:1.5:0", "0:inf:1", "0:1e308:1e-308", "0:1:1e-300"):
+        # the fifth a count that its slack takes past the float range, and
+        # the last 1e300 points, refused before any list is built
+        for sweep in ("1:0.5:0.1", "0.5:1.5:0", "0:inf:1", "0:1e308:1e-308",
+                      "0:1.7976931348623157e308:1", "0:1:1e-300"):
             assert main(["compute", "--net", str(oracle_path), "--method", "sn",
                          "--sweep", sweep]) == 2
             assert "--sweep requires" in capsys.readouterr().err
 
     def test_sweep_point_limit(self, oracle_path, capsys):
-        # 0, 1, ..., 100000: one point more than the limit
-        assert main(["compute", "--net", str(oracle_path), "--method", "gc",
-                     "--sweep", "0:100000:1"]) == 2
-        assert "--sweep requires at most 100000 points, got 100001" in capsys.readouterr().err
+        # one point more than the limit, HI included: 0, 1, ..., 100000 and
+        # 0.5, 0.50001, ..., 1.5, whose quotient rounds to just below 100000
+        for sweep in ("0:100000:1", "0.5:1.5:1e-5"):
+            assert main(["compute", "--net", str(oracle_path), "--method", "gc",
+                         "--sweep", sweep]) == 2
+            assert ("--sweep requires at most 100000 points, got 100001"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("sweep", ["1:2", "1:2:3:4", "a:b:c"])
     def test_malformed_sweep_names_the_form(self, oracle_path, capsys, sweep):
@@ -511,7 +527,7 @@ class TestFloatRangeNets:
     """Nets whose product bound leaves the float range, through the CLI."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("name", ["P80", "TINY", "HUGE", "ZERO_HUGE"])
+    @pytest.mark.parametrize("name", ["P80", "TINY", "HUGE", "ZERO_HUGE", "MAX"])
     def test_product_exit_4_best_exit_5(self, float_range_nets, tmp_path, capsys, name):
         net_path = tmp_path / "net.json"
         save_network(float_range_nets[name], net_path)

@@ -20,6 +20,7 @@ from lipbound.linalg import (
     openblas_threads,
     row_abs_sums,
     scaled_row_sums,
+    spectral_norms,
     spectral_upper_bound,
     top_eigenvalue,
 )
@@ -323,10 +324,27 @@ class TestSpectralUpperBound:
 class TestSpectralNorm:
     def test_gram_exactly_symmetric(self):
         rng = np.random.default_rng(13)
-        for shape in ((3, 5), (5, 3), (1, 4), (7, 7), (40, 64), (64, 40)):
+        for shape in ((3, 5), (5, 3), (1, 4), (7, 7), (40, 64), (64, 40), (6, 10, 4)):
             G = gram(rng.standard_normal(shape))
-            assert G.shape == (min(shape),) * 2
-            np.testing.assert_array_equal(G, G.T)
+            assert G.shape == shape[:-2] + (min(shape[-2:]),) * 2
+            np.testing.assert_array_equal(G, G.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("shape", [(5, 3, 7), (5, 7, 3), (4, 6, 6), (3, 1, 4)])
+    def test_spectral_norms_of_a_stack(self, shape):
+        A = np.random.default_rng(17).standard_normal(shape)
+        norms = spectral_norms(A)
+        assert norms.shape == shape[:1]
+        for a, norm in zip(A, norms):
+            # the same bits as alone, and the largest singular value
+            assert spectral_norms(a) == norm
+            expect = np.linalg.svd(a, compute_uv=False)[0]
+            assert abs(norm - expect) <= 1e-12 * expect
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spectral_norms_at_the_float_range_ends(self):
+        np.testing.assert_array_equal(spectral_norms(np.zeros((2, 3, 3))), [0.0, 0.0])
+        assert spectral_norms(np.full((2, 2), 1e308)) == np.inf
+        assert spectral_norms(np.full((2, 2), 1e308), top_eigenvalue) == np.inf
 
     def test_rectangular(self):
         rng = np.random.default_rng(9)

@@ -115,6 +115,14 @@ class TestPersistence:
         for a, b in zip(net.biases, loaded.biases):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("code, activation", [(0, "relu"), (1, "tanh"), (2, "sigmoid")])
+    def test_binary_activation_codes(self, tmp_path, code, activation):
+        # the codes on disk, packed by hand: a one-layer 1 x 1 net, no biases
+        path = tmp_path / "net.lnet"
+        path.write_bytes(struct.pack("<4sIBBHI", b"LNET", 1, code, 0, 0, 1)
+                         + struct.pack("<II", 1, 1) + struct.pack("<d", 2.0))
+        assert load_network(path).activation == activation
+
     def test_parse_error_on_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
