@@ -51,7 +51,6 @@ from .linalg import (
     gamma_matrix,
     row_abs_sums,
     scaled_row_sums,
-    solve_lower,
     spectral_norms,
     spectral_upper_bound,
     top_eigenvalue,
@@ -215,18 +214,17 @@ class Pruned(LipboundError):
 
 
 def _tails(net: Network) -> list:
-    """P_k^T = (W_{l+1} ... W_k)^T, Fortran-ordered, at index k for 2 <= k <= l.
+    """P_{k+1}^T = (W_{l+1} ... W_{k+1})^T at index k for 2 <= k <= l.
 
-    None where P_k left the float range (and at k < 2): pruning is only a
-    saving, so a tail that overflowed never stops a point.
+    None where P_{k+1} left the float range (and at k < 2): pruning is only
+    a saving, so a tail that overflowed never stops a point.
     """
     tails = [None] * (net.depth + 1)
-    P = net.weights[-1]
     with np.errstate(all="ignore"):
         for k in range(net.depth, 1, -1):
-            P = P @ net.weights[k - 1]
+            P = net.weights[k] if k == net.depth else P @ net.weights[k]
             if np.all(np.isfinite(P)):
-                tails[k] = np.asfortranarray(P.T)
+                tails[k] = P.T
     return tails
 
 
@@ -237,9 +235,10 @@ class _Workspace:
     since M_1 = I.  Each layer shape has its arrays, allocated once: X for
     ``gamma_matrix``, G, and M, which ``cholesky`` turns into L in place.
     One M per order serves as both L_k and M_{k+1}, since L_k is dead once
-    G_k is formed.  It also holds the incumbent gamma, which a sweep lowers
-    as it goes, and the tails P_k, built the first time the incumbent is
-    finite; together they stop a point that cannot win.  A single run's
+    G_k is formed.  ``x`` is the X that ``gamma`` wrote last.  It also
+    holds the incumbent gamma, which a sweep lowers as it goes, and the
+    tails P_{k+1}, built the first time the incumbent is finite; together
+    they stop a point that cannot win.  A single run's
     incumbent stays inf, so it never builds the tails and never stops.
     """
 
@@ -264,16 +263,19 @@ class _Workspace:
         return self._arrays[key]
 
     def gamma(self, k: int, L) -> np.ndarray:
-        """G_{k+1} = W_{k+1} M_{k+1}^{-1} W_{k+1}^T in this workspace's arrays."""
+        """G_{k+1} in this workspace's arrays, and X_{k+1} = L^{-1} W_{k+1}^T in ``x``."""
         if k == 0:
             return self.g1
         W = self.net.weights[k]
         m, n = W.shape
-        return gamma_matrix(W, L, self.array("X", n, m), self.array("G", m, m))
+        self.x = self.array("X", n, m)
+        return gamma_matrix(W, L, self.x, self.array("G", m, m))
 
-    def tail_gram(self, k: int, L):
-        """H = P_k M_k^{-1} P_k^T, None where it leaves the float range.
+    def tail_gram(self, k: int, X):
+        """H = P_k M_k^{-1} P_k^T from X = X_k, None where it leaves the float range.
 
+        P_k = P_{k+1} W_k, so H = Y^T Y with Y = X_k P_{k+1}^T: one product
+        with the layer's own X, and one ``syrk``, so H is exactly symmetric.
         Its top eigenvalue T_k is the LipSDP bound with every activation
         slope set to 1 on the layers from k on: it never decreases along
         the recursion, and it ends at the point's own gamma.
@@ -281,12 +283,12 @@ class _Workspace:
         if self.tails[k] is None:
             return None
         with np.errstate(all="ignore"):
-            X = solve_lower(L, self.tails[k].copy(order="F"))
-            H = X.T @ X
+            Y = X @ self.tails[k]
+            H = Y.T @ Y
         return H if np.all(np.isfinite(H)) else None
 
-    def beaten(self, k: int, L) -> bool:
-        """Whether this sweep's point, with L_k = L, cannot beat the incumbent.
+    def beaten(self, k: int) -> bool:
+        """Whether this sweep's point cannot beat the incumbent, from the X_k in ``x``.
 
         H is PSD, so max diag(H) <= T_k <= trace(H): the eigen-solve runs
         only where the threshold lies between these two.  A tail outside
@@ -294,7 +296,7 @@ class _Workspace:
         """
         if not self.incumbent < math.inf:
             return False
-        H = self.tail_gram(k, L)
+        H = self.tail_gram(k, self.x)
         if H is None:
             return False
         threshold = self.incumbent * (1.0 + PRUNE_MARGIN)
@@ -325,14 +327,14 @@ def run_recursion(net: Network, cfg: StrategyConfig, *, _work: _Workspace | None
     lambdas = []
     per_layer = []
     for k in range(l):
-        if k and work.beaten(k + 1, L):
-            raise Pruned(k + 1)
         n = net.weights[k].shape[0]
         M = work.array("M", n, n)
         # extreme c values can over/underflow on deep nets; treat any
         # non-finite intermediate as a lost-definiteness grid point
         with np.errstate(all="ignore"):
             G = work.gamma(k, L)
+            if k and work.beaten(k + 1):
+                raise Pruned(k + 1)
             if not np.all(np.isfinite(G)):
                 raise DefinitenessLost(k + 1)
             lam, stat = select(G, cfg)
@@ -444,9 +446,11 @@ def evaluate(
     where it lost definiteness at layer k, or ``pruned_at`` k where it
     stopped there.  ``wall_time`` covers the whole evaluation.
 
-    Raises AllInfeasible if every point fails, and ValueError if ``c`` or
-    ``grid`` is given to a method that takes no c, or ``theta`` to any
-    but a method that reads it, at a fixed ``c`` or over a ``grid``.
+    Raises AllInfeasible if every point fails, and ValueError for input
+    that would go unread: ``c`` or ``grid`` given to a method that takes no
+    c, or both at once; ``theta`` to any but a method that reads it, at a
+    fixed ``c`` or over a ``grid``; ``grids`` to any method but ``best``,
+    or with a key that names no method that takes c.
     """
     t0 = time.perf_counter()
     if method != "best" and method not in METHODS:
@@ -454,14 +458,18 @@ def evaluate(
     fixed = c is not None or grid is not None
     if fixed and not reads(method):
         raise ValueError(f"method {method!r} takes no c and no sweep")
+    if c is not None and grid is not None:
+        raise ValueError("a fixed c and a c grid exclude each other")
     if theta is not None and not (fixed and "theta" in reads(method)):
         raise ValueError(f"method {method!r} takes no theta here: only a method "
                          "that reads it does, at a fixed c or over a c grid")
+    if grids is not None and (method != "best" or not all(map(reads, grids))):
+        raise ValueError("grids is for best alone, and names only methods that take c")
     single = method != "best" and (c is not None or not reads(method))
 
     def points_of(m):
         own = (grids or {}).get(m) if method == "best" else grid if c is None else [c]
-        if own is None or not reads(m):
+        if own is None:
             return STRATEGIES[m].grid if reads(m) else [(1.0, 0.5)]
         return [(float(v), 0.5 if theta is None else theta) for v in own]
 

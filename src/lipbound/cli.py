@@ -160,9 +160,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     payload["manifest"] = _manifest("compute", args)
     if args.output:
         Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    theta = f"theta={report.config.theta:g} " if "theta" in reads(report.method) else ""
+    params = "".join(f"{p}={getattr(report.config, p):g} " for p in reads(report.method))
     print(
-        f"method={report.method} c={report.config.c:g} {theta}"
+        f"method={report.method} {params}"
         f"bound={report.bound:.12g} time={report.wall_time:.3f}s"
     )
     return EXIT_OK
@@ -254,7 +254,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 report = evaluate(net, method, c, certified=args.certified)
                 row["seconds"] = f"{report.wall_time:.6f}"
                 row["bound"] = f"{report.bound:.12g}"
-                row["c"] = "" if method == "product" else f"{report.config.c:g}"
+                row["c"] = f"{report.config.c:g}" if reads(method) else ""
             except LipboundError as exc:
                 row["status"] = f"error: {exc}"
             rows.append(row)

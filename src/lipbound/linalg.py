@@ -159,42 +159,33 @@ def cholesky(S: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return S
 
 
-def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """X with L @ X = B, written over B and returned, for a triangular factor L.
-
-    One LAPACK ``dtrtrs`` call.  B must be a Fortran-ordered float64 array
-    with as many rows as L.
-    """
-    n, m = B.shape
-    if L.shape != (n, n):
-        raise ValueError(f"factor of shape {L.shape} does not fit B of shape {B.shape}")
-    if B.dtype != np.float64 or not B.flags.f_contiguous:
-        raise ValueError("solve_lower overwrites only a Fortran-ordered float64 array")
-    L = np.asfortranarray(L, dtype=np.float64)
-    info = _dtrtrs(_COL_MAJOR, b"L", b"N", b"N", n, m, L.ctypes.data, n, B.ctypes.data, n)
-    if info != 0:  # pragma: no cover - a Cholesky factor has no zero pivot
-        raise ValueError(f"dtrtrs: info={info}")
-    return B
-
-
 def gamma_matrix(W: np.ndarray, L: np.ndarray, work: np.ndarray | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Propagated quadratic form W M^{-1} W.T given the Cholesky factor of M.
 
-    Computed as X.T @ X with L @ X = W.T (``solve_lower``), so M is never
-    inverted explicitly and the result is PSD by construction.  numpy
-    forms X.T @ X with one ``syrk`` call and mirrors its triangle, so the
-    result is exactly symmetric, as the row sums and eigen-solves
+    Computed as X.T @ X with L @ X = W.T (one LAPACK ``dtrtrs`` call), so
+    M is never inverted explicitly and the result is PSD by construction.
+    numpy forms X.T @ X with one ``syrk`` call and mirrors its triangle, so
+    the result is exactly symmetric, as the row sums and eigen-solves
     downstream require.  A caller stepping many layers may hand in the
-    arrays to write: ``work``, Fortran-ordered and of W.T's shape, for X,
-    and ``out``, square of W's row count, for the result.
+    arrays to write: ``work``, a Fortran-ordered float64 array of W.T's
+    shape, which holds X afterwards, and ``out``, square of W's row count,
+    for the result.
     """
+    m, n = W.shape
+    if L.shape != (n, n):
+        raise ValueError(f"factor of shape {L.shape} does not fit W of shape {W.shape}")
     if work is None:
         work = np.array(W.T, dtype=np.float64, order="F")
+    elif work.shape != (n, m) or work.dtype != np.float64 or not work.flags.f_contiguous:
+        raise ValueError(f"work must be a Fortran-ordered float64 array of shape {(n, m)}")
     else:
         np.copyto(work, W.T)
-    X = solve_lower(L, work)
-    return np.matmul(X.T, X, out=out)
+    L = np.asfortranarray(L, dtype=np.float64)
+    info = _dtrtrs(_COL_MAJOR, b"L", b"N", b"N", n, m, L.ctypes.data, n, work.ctypes.data, n)
+    if info != 0:  # pragma: no cover - a Cholesky factor has no zero pivot
+        raise ValueError(f"dtrtrs: info={info}")
+    return np.matmul(work.T, work, out=out)
 
 
 def top_eigenvalue(S: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Tests for the recursive bound engine and its multiplier strategies."""
 
+import functools
 import json
 import math
 import time
@@ -397,6 +398,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="takes no theta"):
             evaluate(scalar_net(), method, theta=0.3, **kwargs)
 
+    @pytest.mark.parametrize("method,kwargs,message", [
+        ("gc", {"c": 1.0, "grid": [0.5, 1.5]}, "exclude each other"),
+        ("interp", {"c": 1.0, "grid": [0.5]}, "exclude each other"),
+        ("gc", {"grids": {"gc": [0.5]}}, "grids is for best"),
+        ("fast", {"grids": {"gc": [0.5]}}, "grids is for best"),
+        ("product", {"grids": {}}, "grids is for best"),
+        ("best", {"grids": {"magic": [0.5]}}, "grids is for best"),
+        ("best", {"grids": {"gc": [0.5], "fast": [0.5]}}, "grids is for best"),
+        ("best", {"grids": {"product": [1.0]}}, "grids is for best"),
+        ("best", {"grids": {"best": [1.0]}}, "grids is for best"),
+    ], ids=["gc-c-and-grid", "interp-c-and-grid", "gc-grids", "fast-grids",
+            "product-empty-grids", "grids-unknown", "grids-fast", "grids-product",
+            "grids-best"])
+    def test_input_it_would_ignore_refused(self, method, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate(scalar_net(), method, **kwargs)
+
     @pytest.mark.parametrize("method", ["gc", "best"])
     def test_wall_time_covers_the_whole_evaluation(self, method):
         net = generate_random(3, 8, 8, 3, seed=5)
@@ -482,6 +500,14 @@ def fresh_recursion(net, cfg):
     return lambdas, min_diags, top_eigenvalue(gamma_matrix(net.weights[-1], L))
 
 
+def mixed_widths_net():
+    """A 6 -> 9 -> 4 -> 9 -> 3 net: each layer shape differs from the last."""
+    rng = np.random.default_rng(3)
+    dims = (6, 9, 4, 9, 3)
+    return Network(tuple(rng.standard_normal((dims[k + 1], dims[k]))
+                         for k in range(len(dims) - 1)))
+
+
 def alone(net, point):
     """A sweep point run on its own, as a single run: its report or its failure."""
     params = {p: point[p] for p in reads(point["method"])}
@@ -520,6 +546,29 @@ class TestPruning:
                 assert 2 <= p["pruned_at"] <= net.depth
                 # single runs never stop, and a stopped point cannot win
                 assert isinstance(single, DefinitenessLost) or single.bound >= report.bound
+
+    @pytest.mark.parametrize("net", [
+        pytest.param(mixed_widths_net, id="6-9-4-9-3"),
+        pytest.param(lambda: generate_random(10, 64, 64, 10, 0), id="best-narrow"),
+    ])
+    def test_tail_gram_from_x_matches_a_solve_with_the_whole_tail(self, net):
+        # H = P_k M_k^{-1} P_k^T from X_k = L_k^{-1} W_k^T and P_{k+1}, against
+        # (L_k^{-1} P_k^T)^T (L_k^{-1} P_k^T) with P_k = W_{l+1} ... W_k
+        net = net()
+        work, cfg = _Workspace(net), StrategyConfig("gc", c=1.0)
+        L = np.eye(net.dims[0])
+        for k, W in enumerate(net.weights[:-1], start=1):
+            X = np.empty(W.T.shape, order="F")
+            G = gamma_matrix(W, L, X)
+            if k >= 2:
+                P = functools.reduce(np.matmul, net.weights[::-1][:net.depth + 2 - k])
+                Z = np.linalg.solve(L, P.T)
+                expected = Z.T @ Z
+                H = work.tail_gram(k, X)
+                assert np.abs(H - expected).max() <= 1e-12 * np.abs(expected).max()
+            lam, _ = STRATEGIES["gc"].select(G, cfg)
+            M = np.diag(2.0 * lam) - (lam[:, None] * G) * lam[None, :]
+            L = cholesky(0.5 * (M + M.T))
 
     def test_overflowing_tails_stop_nothing(self, monkeypatch):
         seen = []
@@ -566,10 +615,7 @@ class TestPruning:
     def test_reused_arrays_match_fresh_ones(self):
         # widths change from layer to layer, so each shape has its own arrays,
         # and one workspace serves every point in turn, as in a sweep
-        rng = np.random.default_rng(3)
-        dims = (6, 9, 4, 9, 3)
-        net = Network(tuple(rng.standard_normal((dims[k + 1], dims[k]))
-                            for k in range(len(dims) - 1)))
+        net = mixed_widths_net()
         work = _Workspace(net)
         assert not work.g1.flags.writeable  # G_1 is shared by every point
         for method in STRATEGIES:

@@ -254,6 +254,11 @@ class TestCompute:
         assert main(["compute", "--net", str(oracle_path), "--method", "gc"]) == 0
         assert "theta=" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["product", "fast"])
+    def test_no_c_printed_where_not_read(self, oracle_path, capsys, method):
+        assert main(["compute", "--net", str(oracle_path), "--method", method]) == 0
+        assert capsys.readouterr().out.startswith(f"method={method} bound=")
+
     def test_jobs_removed_exit_2(self, oracle_path):
         assert main(["compute", "--net", str(oracle_path), "--method", "gc",
                      "--jobs", "2"]) == 2
@@ -644,6 +649,9 @@ class TestBench:
         assert keys == sorted(keys)
         assert all(r["status"] == "ok" for r in rows)
         assert all(float(r["bound"]) > 0 for r in rows)
+        # c is written for the methods that read it, as reads() says
+        assert {(r["method"], r["c"]) for r in rows} == {
+            ("fast", ""), ("gc", "1"), ("product", "")}
         manifest = json.loads((tmp_path / "bench.manifest.json").read_text())
         assert manifest["command"] == "bench"
 

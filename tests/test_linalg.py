@@ -113,6 +113,16 @@ class TestGammaMatrix:
                 G = gamma_matrix(W, L, work, out)
                 assert G is out
                 assert G.tobytes() == gamma_matrix(W, L).tobytes()
+                # the given work ends holding X = L^{-1} W^T
+                np.testing.assert_allclose(work, np.linalg.solve(L, W.T),
+                                           rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("work", [
+        np.empty((3, 2)), np.empty((2, 3), order="F"), np.empty((3, 2), np.float32, order="F"),
+    ], ids=["c-ordered", "wrong-shape", "float32"])
+    def test_bad_work_refused(self, work):
+        with pytest.raises(ValueError, match="work must be"):
+            gamma_matrix(np.ones((2, 3)), np.eye(3), work)
 
 
 class TestTopEigenvalue:
