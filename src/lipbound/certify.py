@@ -20,8 +20,9 @@ from .network import Network, jacobian_norms
 
 DEFAULT_RADIUS = 10.0
 
-# Relative slack on the margin and the bound/gamma consistency check; the
-# tight scalar case sits exactly on zero margin.
+# Relative slack on the margin, on the bound against sqrt(gamma) and (in
+# the CLI) on a report's two copies of gamma; the tight scalar case sits
+# exactly on zero margin.
 _MARGIN_RTOL = 1e-12
 _GAMMA_RTOL = 1e-9
 
@@ -221,7 +222,11 @@ def validate(
     for k, lam in enumerate(lambdas, start=1):
         if not np.all(np.isfinite(lam)):
             raise ValidationFailed(f"non-finite multiplier in layer {k}")
-    if abs(bound * bound - ms.gamma) > _GAMMA_RTOL * (1.0 + abs(ms.gamma)):
+    # against sqrt(gamma), as the bound is computed, so the check is relative
+    # at any scale, subnormal gammas among them; a negative gamma is left to
+    # the feasibility check
+    root = math.sqrt(max(ms.gamma, 0.0))
+    if not abs(bound - root) <= _GAMMA_RTOL * root:
         raise ValidationFailed(
             f"bound {bound} inconsistent with gamma {ms.gamma}"
         )

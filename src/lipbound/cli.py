@@ -13,8 +13,8 @@ Exit codes: 0 success, 2 invalid arguments (among them ``--c`` or
 ``--sweep`` for a method that reads theta), unreadable input, a
 network with a non-finite entry or an empty layer, a malformed report or one
 that does not fit its network, 3 I/O failure, 4 definiteness lost without a
-sweep fallback, 5 all sweep points (for ``best``, all methods; for
-``bench``, all rows) failed, 6 validation failed.
+sweep fallback, 5 all sweep points failed (for ``best``, every point of
+every method it sweeps; for ``bench``, all rows), 6 validation failed.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def read_certificate(payload) -> tuple:
     except OverflowError as exc:
         raise ParseError(f"report number outside the float range: {exc}") from exc
     # "not <=" so that a NaN on either side never agrees
-    if "gamma" in payload and not abs(stated - gamma) <= _GAMMA_RTOL * (1 + abs(gamma)):
+    if "gamma" in payload and not abs(stated - gamma) <= _GAMMA_RTOL * abs(gamma):
         raise ValidationFailed(
             f"report gamma {stated} disagrees with multipliers.gamma {gamma}"
         )

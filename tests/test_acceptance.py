@@ -36,9 +36,7 @@ METHOD_CONFIGS = [
 ]
 
 COARSE_GRIDS = {
-    "sn": [0.5, 1.0, 1.5, 1.9],
     "gc": [0.5, 1.0, 1.5, 1.9],
-    "gcs": [0.5, 1.0, 1.5, 1.9],
     "shift": [1.5, 2.0, 3.0],
 }
 

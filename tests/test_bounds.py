@@ -11,6 +11,7 @@ import pytest
 
 import lipbound.bounds
 from lipbound.bounds import (
+    BEST,
     FALLBACK_MULTIPLIER,
     METHODS,
     STRATEGIES,
@@ -99,8 +100,9 @@ class TestStrategyTable:
     def test_interp_grid_order(self):
         # theta-major, then c
         assert STRATEGIES["interp"].grid == tuple(
-            (c, t) for t in (0.25, 0.5, 0.75) for c in (0.5, 1.0, 1.5, 1.9)
+            (c, t) for t in (0.25, 0.5, 0.75) for c in (0.5, 1.0, 1.5, 1.9, 1.95, 1.99)
         )
+        assert len(STRATEGIES["interp"].grid) == 18
 
 
 class TestStrategies:
@@ -408,9 +410,11 @@ class TestSweep:
         ("best", {"grids": {"gc": [0.5], "fast": [0.5]}}, "grids is for best"),
         ("best", {"grids": {"product": [1.0]}}, "grids is for best"),
         ("best", {"grids": {"best": [1.0]}}, "grids is for best"),
+        ("best", {"grids": {"sn": [0.5]}}, "grids is for best"),
+        ("best", {"grids": {"gc": [0.5], "gcs": [0.5]}}, "grids is for best"),
     ], ids=["gc-c-and-grid", "interp-c-and-grid", "gc-grids", "fast-grids",
             "product-empty-grids", "grids-unknown", "grids-fast", "grids-product",
-            "grids-best"])
+            "grids-best", "grids-sn", "grids-gcs"])
     def test_input_it_would_ignore_refused(self, method, kwargs, message):
         with pytest.raises(ValueError, match=message):
             evaluate(scalar_net(), method, **kwargs)
@@ -432,8 +436,7 @@ class TestBestOf:
         assert report.method == "product"  # ties break by method order
 
     def test_dominates_fast_and_product(self):
-        grids = {m: [0.5, 1.0, 1.5] for m in ("sn", "gc", "gcs")}
-        grids["shift"] = [1.5, 2.0]
+        grids = {"gc": [0.5, 1.0, 1.5], "shift": [1.5, 2.0]}
         for seed in range(3):
             net = generate_random(5, 12, 10, 6, seed=seed)
             best = evaluate(net, "best", grids=grids).bound
@@ -448,18 +451,25 @@ class TestBestOf:
         assert report.method == "interp"
         assert (report.config.c, report.config.theta) == (1.5, 0.25)
         assert report.bound == 2.350587664095569
-        assert len(report.sweep["points"]) == 142
+        assert len(report.sweep["points"]) == 68
+
+    def test_best_narrow_winner_pinned(self):
+        report = evaluate(generate_random(10, 64, 64, 10, 0), "best")
+        assert report.method == "interp"
+        assert (report.config.c, report.config.theta) == (1.99, 0.5)
+        assert report.bound == 34.871535854589716
 
     def test_one_sweep_over_every_method_point(self):
         net = generate_random(3, 8, 8, 3, seed=5)
         report = evaluate(net, "best")
         assert report.sweep["method"] == "best"
         points = report.sweep["points"]
+        assert BEST == ("product", "fast", "gc", "shift", "interp")
         expected = [("product", None, None), ("fast", None, None)] + [
             (m, c, t if m == "interp" else None)
-            for m in METHODS[2:] for c, t in STRATEGIES[m].grid
+            for m in BEST[2:] for c, t in STRATEGIES[m].grid
         ]
-        assert len(expected) == 142
+        assert len(expected) == 68
         assert [(p["method"], p.get("c"), p.get("theta")) for p in points] == expected
         bounds = [p["bound"] for p in points]
         first = bounds.index(min(b for b in bounds if b is not None))
@@ -571,19 +581,33 @@ class TestPruning:
             L = cholesky(0.5 * (M + M.T))
 
     def test_overflowing_tails_stop_nothing(self, monkeypatch):
+        net = n60()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate(net, "best")
+        assert (report.method, report.config.c) == ("gc", 1.25)
+        # on n60 only gcs's points meet a tail Gram matrix beyond the float
+        # range, so run them against best's winner, as a sweep would
         seen = []
         tail_gram = _Workspace.tail_gram
 
-        def recorded(self, k, L):
-            seen.append(tail_gram(self, k, L))
+        def recorded(self, k, X):
+            seen.append(tail_gram(self, k, X))
             return seen[-1]
 
         monkeypatch.setattr(_Workspace, "tail_gram", recorded)
+        work = _Workspace(net)
+        work.incumbent = report.multipliers.gamma
+        outcomes = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = evaluate(n60(), "best")
+            for c, _ in STRATEGIES["gcs"].grid:
+                try:
+                    run_recursion(net, StrategyConfig("gcs", c=c), _work=work)
+                except (DefinitenessLost, Pruned) as exc:
+                    outcomes.append(type(exc))
         assert any(H is None for H in seen)
-        assert (report.method, report.config.c) == ("gc", 1.25)
+        assert len(outcomes) == 40 and Pruned in outcomes
 
     def test_single_runs_build_no_tails(self, monkeypatch):
         def refused(net):

@@ -284,6 +284,16 @@ class TestValidate:
         with pytest.raises(ValidationFailed):
             validate(net, report.bound, report.multipliers, n_samples=5, seed=0)
 
+    @pytest.mark.parametrize("bound", [0.0, 1.0])
+    def test_negative_gamma_rejected_without_a_domain_error(self, bound):
+        # a bound of 0 agrees with a negative gamma's clipped root, so the
+        # feasibility check is what rejects it, at the output block
+        net = scalar_net()
+        lambdas = run_recursion(net, StrategyConfig("fast")).multipliers.lambdas
+        with pytest.raises(ValidationFailed,
+                           match="not PSD at output" if bound == 0.0 else "inconsistent"):
+            validate(net, bound, MultiplierSequence(lambdas, -1.0), n_samples=5)
+
     def test_certifies_nothing(self):
         # one rule for run_recursion, product_bound and validate
         net = scalar_net()

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from lipbound.bounds import METHODS
+from lipbound.bounds import METHODS, STRATEGIES
 from lipbound.cli import _build_parser, main
 from lipbound.network import (
     ACTIVATIONS,
@@ -299,13 +299,23 @@ class TestCompute:
                      "--o", str(report_path)]) == 0
         payload = json.loads(report_path.read_text())
         points = payload["sweep"]["points"]
-        assert len(points) == 12
+        assert len(points) == 18
         assert all(sorted(p) == ["bound", "c", "method", "theta"] for p in points)
         winner = {"method": "interp", "c": payload["config"]["c"],
                   "theta": payload["config"]["theta"], "bound": payload["bound"]}
         assert winner in points
         line = capsys.readouterr().out
         assert f"method=interp c={winner['c']:g} theta={winner['theta']:g} " in line
+
+    @pytest.mark.parametrize("method", ["sn", "gcs"])
+    def test_methods_left_out_of_best_keep_their_sweep(self, oracle_path, tmp_path,
+                                                       method):
+        report_path = tmp_path / "r.json"
+        assert main(["compute", "--net", str(oracle_path), "--method", method,
+                     "--o", str(report_path)]) == 0
+        points = json.loads(report_path.read_text())["sweep"]["points"]
+        assert [p["c"] for p in points] == [c for c, _ in STRATEGIES[method].grid]
+        assert len(points) == 40
 
     def test_method_choices_follow_the_table(self):
         comp = _subparser("compute")
@@ -359,6 +369,40 @@ class TestVerify:
         report_path.write_text(json.dumps(payload))
         assert main(["verify", "--net", str(oracle_path),
                      "--report", str(report_path), "--samples", "5"]) == 6
+
+    @staticmethod
+    def _scaled_report(tmp_path, net, scales):
+        """A fast report on ``net`` with weight k scaled by ``scales[k]``, and its payload."""
+        net_path, report_path = tmp_path / "net.json", tmp_path / "fast.json"
+        save_network(Network(tuple(s * W for s, W in zip(scales, net.weights)),
+                             activation=net.activation), net_path)
+        assert main(["compute", "--net", str(net_path), "--method", "fast",
+                     "--o", str(report_path)]) == 0
+        return net_path, report_path, json.loads(report_path.read_text())
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: {**p, "bound": 0.5 * p["bound"]}, "inconsistent with gamma"),
+        (lambda p: {**p, "gamma": 0.99 * p["gamma"]}, "disagrees with multipliers.gamma"),
+    ], ids=["bound-halved", "top-level-gamma-shrunk"])
+    def test_small_scale_report_checked_relative_to_gamma(self, tmp_path, capsys,
+                                                          edit, message):
+        # gamma about 7.5e-19: an absolute slack of 1e-9 let both edits pass
+        net_path, report_path, payload = self._scaled_report(
+            tmp_path, generate_random(10, 64, 64, 10, 0), [0.1] * 11)
+        assert 1e-19 < payload["gamma"] < 1e-18
+        report_path.write_text(json.dumps(edit(payload)))
+        capsys.readouterr()
+        assert main(["verify", "--net", str(net_path), "--report",
+                     str(report_path), "--samples", "5"]) == 6
+        assert message in capsys.readouterr().err
+
+    def test_genuine_report_with_gamma_near_1e_200_passes(self, tmp_path, capsys):
+        net_path, report_path, payload = self._scaled_report(
+            tmp_path, generate_random(3, 8, 6, 4, 1), [1e-100, 1.0, 1.0, 1.0])
+        assert 1e-202 < payload["gamma"] < 1e-198
+        assert main(["verify", "--net", str(net_path), "--report",
+                     str(report_path), "--samples", "20"]) == 0
+        assert "psd=True" in capsys.readouterr().out
 
     def test_deep_report_with_shrunk_gamma_exit_6(self, tmp_path, capsys):
         # the Lambda blocks of a depth-30 report lie many orders of
