@@ -429,34 +429,34 @@ def evaluate(
     method: str,
     c: float | None = None,
     grid=None,
-    grids: dict | None = None,
     theta: float | None = None,
     certified: bool = False,
 ) -> BoundReport:
     """One bound by method name, as the CLI computes it.
 
-    ``product`` is the product bound.  A method that takes no c runs once,
-    as does any method given a fixed ``c``; a failure there propagates.
-    Otherwise the method sweeps ``grid``, a list of c values each run at
-    ``theta``, or its default sweep of (c, theta) points from
-    ``STRATEGIES``.  ``best`` sweeps the methods of ``BEST`` in order:
-    ``product``, ``fast``, then the default sweeps of ``gc``, ``shift`` and
-    ``interp``; ``grids`` may map one of those three to the c values that
-    replace its default sweep there.  A sweep runs one point
-    after another, and the first strictly smaller bound wins.  A point
-    stops at the first layer k >= 2 where its tail bound T_k shows that it
-    cannot beat the smallest bound so far; single runs never stop.  The
-    winning report's ``sweep`` field records every point in order: its
-    method, the parameters that method reads (``reads``) and its bound.  A
-    point without a bound has ``bound`` None and says why: ``lost_at`` k
-    where it lost definiteness at layer k, or ``pruned_at`` k where it
-    stopped there.  ``wall_time`` covers the whole evaluation.
+    The run's plan, every point it will take, is built and checked before
+    the first point runs.  It comes from one source: a fixed ``c``, or
+    ``grid``, a list of c values each run at ``theta``, or else the
+    default sweep of (c, theta) points from ``STRATEGIES``, with one point
+    for a method that takes no c.  ``best`` takes the default sweeps of
+    the methods of ``BEST`` in order: ``product``, ``fast``, ``gc``,
+    ``shift`` and ``interp``.  ``product`` is the product bound.  A method
+    that takes no c runs once, as does any method given a fixed ``c``; a
+    failure there propagates.  A sweep runs one point after another, and
+    the first strictly smaller bound wins.  A point stops at the first
+    layer k >= 2 where its tail bound T_k shows that it cannot beat the
+    smallest bound so far; single runs never stop.  The winning report's
+    ``sweep`` field records every point in order: its method, the
+    parameters that method reads (``reads``) and its bound.  A point
+    without a bound has ``bound`` None and says why: ``lost_at`` k where
+    it lost definiteness at layer k, or ``pruned_at`` k where it stopped
+    there.  ``wall_time`` covers the whole evaluation.
 
-    Raises AllInfeasible if every point fails, and ValueError for input
-    that would go unread: ``c`` or ``grid`` given to a method that takes no
-    c, or both at once; ``theta`` to any but a method that reads it, at a
-    fixed ``c`` or over a ``grid``; ``grids`` to any method but ``best``,
-    or with a key that names no method of ``BEST`` that takes c.
+    Raises AllInfeasible if every point fails.  Raises ValueError, before
+    any point runs, for a c outside the method's range and for input that
+    would go unread: ``c`` or ``grid`` given to a method that takes no c,
+    or both at once; ``theta`` to any but a method that reads it, at a
+    fixed ``c`` or over a ``grid``.
     """
     t0 = time.perf_counter()
     if method != "best" and method not in METHODS:
@@ -469,40 +469,36 @@ def evaluate(
     if theta is not None and not (fixed and "theta" in reads(method)):
         raise ValueError(f"method {method!r} takes no theta here: only a method "
                          "that reads it does, at a fixed c or over a c grid")
-    if grids is not None and (method != "best" or not all(
-            m in BEST and reads(m) for m in grids)):
-        raise ValueError("grids is for best alone, and names only methods of its "
-                         "sweep that take c")
+    if fixed:
+        t = 0.5 if theta is None else theta
+        plan = [StrategyConfig(method, c=float(v), theta=t, certified=certified)
+                for v in (grid if c is None else [c])]
+    else:
+        plan = [StrategyConfig(m, c=v, theta=t, certified=certified)
+                for m in (BEST if method == "best" else (method,))
+                for v, t in (STRATEGIES[m].grid if reads(m) else [(1.0, 0.5)])]
     single = method != "best" and (c is not None or not reads(method))
-
-    def points_of(m):
-        own = (grids or {}).get(m) if method == "best" else grid if c is None else [c]
-        if own is None:
-            return STRATEGIES[m].grid if reads(m) else [(1.0, 0.5)]
-        return [(float(v), 0.5 if theta is None else theta) for v in own]
 
     work = _Workspace(net)
     best, points = None, []
-    for m in BEST if method == "best" else (method,):
-        for v, t in points_of(m):
-            cfg = StrategyConfig(m, c=v, theta=t, certified=certified)
-            why = {}
-            try:
-                report = (product_bound(net, certified) if m == "product"
-                          else run_recursion(net, cfg, _work=work))
-            except (DefinitenessLost, Pruned) as exc:
-                if single:
-                    raise
-                key = "pruned_at" if isinstance(exc, Pruned) else "lost_at"
-                report, why = None, {key: exc.layer}
-            points.append({"method": m, **{p: getattr(cfg, p) for p in reads(m)},
-                           "bound": None if report is None else report.bound, **why})
-            if report is not None and (best is None or report.bound < best.bound):
-                best = report
-                work.incumbent = best.multipliers.gamma
+    for cfg in plan:
+        why = {}
+        try:
+            report = (product_bound(net, certified) if cfg.method == "product"
+                      else run_recursion(net, cfg, _work=work))
+        except (DefinitenessLost, Pruned) as exc:
+            if single:
+                raise
+            key = "pruned_at" if isinstance(exc, Pruned) else "lost_at"
+            report, why = None, {key: exc.layer}
+        points.append({"method": cfg.method, **{p: getattr(cfg, p) for p in reads(cfg.method)},
+                       "bound": None if report is None else report.bound, **why})
+        if report is not None and (best is None or report.bound < best.bound):
+            best = report
+            work.incumbent = best.multipliers.gamma
     if best is None:
         raise AllInfeasible("every method failed" if method == "best" else
-                            f"all {len(points)} grid points infeasible for {method!r}")
+                            f"all {len(plan)} grid points infeasible for {method!r}")
     best.sweep = None if single else {"method": method, "points": points}
     best.wall_time = time.perf_counter() - t0
     return best

@@ -35,12 +35,6 @@ METHOD_CONFIGS = [
     ("interp", {"c": 1.0, "theta": 0.75}),
 ]
 
-COARSE_GRIDS = {
-    "gc": [0.5, 1.0, 1.5, 1.9],
-    "shift": [1.5, 2.0, 3.0],
-}
-
-
 def criterion(num, description):
     def decorate(fn):
         @functools.wraps(fn)
@@ -151,7 +145,7 @@ def test_criterion_5_dominance_and_improvement(
     equivalence_nets, lmi_nets, sandwich_nets
 ):
     for net in equivalence_nets + lmi_nets + sandwich_nets:
-        best = evaluate(net, "best", grids=COARSE_GRIDS).bound
+        best = evaluate(net, "best").bound
         fast = run_recursion(net, StrategyConfig("fast")).bound
         prod = product_bound(net).bound
         assert best <= min(fast, prod) * (1.0 + 1e-12)

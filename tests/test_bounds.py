@@ -35,9 +35,9 @@ def scalar_net():
     return Network((np.array([[2.0]]), np.array([[3.0]])))
 
 
-def scaled_net(depth, scale):
+def scaled_net(depth, scale, seed=0):
     """A width-3 random net with every weight scaled up, to leave float range."""
-    net = generate_random(depth, 3, 3, 2, seed=0)
+    net = generate_random(depth, 3, 3, 2, seed=seed)
     return Network(tuple(scale * W for W in net.weights))
 
 
@@ -403,21 +403,21 @@ class TestSweep:
     @pytest.mark.parametrize("method,kwargs,message", [
         ("gc", {"c": 1.0, "grid": [0.5, 1.5]}, "exclude each other"),
         ("interp", {"c": 1.0, "grid": [0.5]}, "exclude each other"),
-        ("gc", {"grids": {"gc": [0.5]}}, "grids is for best"),
-        ("fast", {"grids": {"gc": [0.5]}}, "grids is for best"),
-        ("product", {"grids": {}}, "grids is for best"),
-        ("best", {"grids": {"magic": [0.5]}}, "grids is for best"),
-        ("best", {"grids": {"gc": [0.5], "fast": [0.5]}}, "grids is for best"),
-        ("best", {"grids": {"product": [1.0]}}, "grids is for best"),
-        ("best", {"grids": {"best": [1.0]}}, "grids is for best"),
-        ("best", {"grids": {"sn": [0.5]}}, "grids is for best"),
-        ("best", {"grids": {"gc": [0.5], "gcs": [0.5]}}, "grids is for best"),
-    ], ids=["gc-c-and-grid", "interp-c-and-grid", "gc-grids", "fast-grids",
-            "product-empty-grids", "grids-unknown", "grids-fast", "grids-product",
-            "grids-best", "grids-sn", "grids-gcs"])
+    ], ids=["gc-c-and-grid", "interp-c-and-grid"])
     def test_input_it_would_ignore_refused(self, method, kwargs, message):
         with pytest.raises(ValueError, match=message):
             evaluate(scalar_net(), method, **kwargs)
+
+    def test_out_of_range_c_refused_before_any_point_runs(self, monkeypatch):
+        # the whole plan is checked first: the in-range points 1.0 and 1.5
+        # do not run before 2.0 is refused
+        calls = []
+        for name in ("run_recursion", "product_bound"):
+            monkeypatch.setattr(lipbound.bounds, name,
+                                lambda *a, _name=name, **k: calls.append(_name))
+        with pytest.raises(ValueError, match=r"requires c in \(0, 2\)"):
+            evaluate(generate_random(3, 8, 8, 3, 5), "gc", grid=[1.0, 1.5, 2.0])
+        assert calls == []
 
     @pytest.mark.parametrize("method", ["gc", "best"])
     def test_wall_time_covers_the_whole_evaluation(self, method):
@@ -436,10 +436,9 @@ class TestBestOf:
         assert report.method == "product"  # ties break by method order
 
     def test_dominates_fast_and_product(self):
-        grids = {"gc": [0.5, 1.0, 1.5], "shift": [1.5, 2.0]}
         for seed in range(3):
             net = generate_random(5, 12, 10, 6, seed=seed)
-            best = evaluate(net, "best", grids=grids).bound
+            best = evaluate(net, "best").bound
             fast = run_recursion(net, StrategyConfig("fast")).bound
             prod = product_bound(net).bound
             assert best <= min(fast, prod) * (1.0 + 1e-12)
@@ -608,6 +607,23 @@ class TestPruning:
                     outcomes.append(type(exc))
         assert any(H is None for H in seen)
         assert len(outcomes) == 40 and Pruned in outcomes
+
+    def test_best_meets_overflowing_tails(self, monkeypatch):
+        # n60's seed-1 twin: best's own sweep meets tail Gram matrices beyond
+        # the float range (255 of 1759 stop checks), and they stop nothing
+        seen = []
+        tail_gram = _Workspace.tail_gram
+
+        def recorded(self, k, X):
+            seen.append(tail_gram(self, k, X))
+            return seen[-1]
+
+        monkeypatch.setattr(_Workspace, "tail_gram", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate(scaled_net(60, 300.0, seed=1), "best")
+        assert (report.method, report.config.c) == ("gc", 1.25)
+        assert any(H is None for H in seen)
 
     def test_single_runs_build_no_tails(self, monkeypatch):
         def refused(net):

@@ -192,6 +192,14 @@ class TestCompute:
             assert ("--sweep requires at most 100000 points, got 100001"
                     in capsys.readouterr().err)
 
+    def test_sweep_past_the_c_range_exit_2(self, oracle_path, capsys):
+        # 2.0, 2.5 and 3.0 lie outside gc's c range: refused before any point runs
+        assert main(["compute", "--net", str(oracle_path), "--method", "gc",
+                     "--sweep", "1:3:0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "requires c in (0, 2)" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("sweep", ["1:2", "1:2:3:4", "a:b:c"])
     def test_malformed_sweep_names_the_form(self, oracle_path, capsys, sweep):
         assert main(["compute", "--net", str(oracle_path), "--method", "gc",
