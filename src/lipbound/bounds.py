@@ -249,7 +249,7 @@ class _Workspace:
 
     def __init__(self, net: Network):
         with np.errstate(all="ignore"):
-            self.g1 = gamma_matrix(net.weights[0], np.eye(net.dims[0]))
+            self.g1 = net.weights[0] @ net.weights[0].T
         self.g1.flags.writeable = False
         self.net = net
         self.incumbent = math.inf

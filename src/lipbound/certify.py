@@ -172,24 +172,20 @@ def empirical_lower_bound(
 ) -> float:
     """Max Jacobian spectral norm over sampled inputs (plus the origin).
 
-    Points are drawn uniformly from the origin-centered ball.  Each point
-    derives its own generator from (seed, index), and ``jacobian_norms``
-    gives each row the same norm however many rows follow it, so sample
-    sets are nested in n_samples and the result is monotone nondecreasing
-    in it.
+    One generator, seeded with ``seed``, fills rows 1.. of an
+    (n_samples + 1) x (n0 + 2) array with standard normals, in order; each
+    row is scaled to length ``radius`` and cut to its first n0 coordinates,
+    a point uniform in the ball.  Row 0 is the origin.  Row i never depends
+    on how many rows follow it, in the draw or in ``jacobian_norms``, so
+    sample sets are nested in n_samples and the result is monotone in it.
     """
     _check_sampling(n_samples, radius, seed)
     n0 = net.dims[0]
-    X = np.zeros((n_samples + 1, n0))
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        direction = rng.standard_normal(n0)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:  # pragma: no cover - measure zero; row i + 1 stays 0
-            continue
-        r = radius * rng.random() ** (1.0 / n0)
-        X[i + 1] = (r / norm) * direction
-    return float(jacobian_norms(net, X).max())
+    # uniform on S^{n0+1} cut to n0 coordinates is uniform in B^{n0} (Barthe et al. 2005)
+    Z = np.zeros((n_samples + 1, n0 + 2))
+    np.random.default_rng(seed).standard_normal(out=Z[1:])
+    Z[1:] *= (radius / np.sqrt(np.einsum("ij,ij->i", Z[1:], Z[1:])))[:, None]
+    return float(jacobian_norms(net, Z[:, :n0]).max())
 
 
 def validate(

@@ -65,7 +65,7 @@ class Network:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
+        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not self.weights:
             raise DimensionChainError(0, "network needs at least one weight matrix")
@@ -129,11 +129,12 @@ def _parse_json(text: str) -> Network:
             if "bias" in layer and not isinstance(bias, list):
                 raise TypeError(f"bias must be a list of {rows} numbers, got {json.dumps(bias)}")
             bias = None if bias is None else np.asarray(bias, dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"layer {k + 1}: {exc}") from exc
         if flat.shape != (rows * cols,):
+            got = flat.size if flat.ndim == 1 else f"an array of shape {flat.shape}"
             raise ParseError(
-                f"layer {k + 1}: expected {rows * cols} weights, got {flat.size}"
+                f"layer {k + 1}: expected a flat list of {rows * cols} weights, got {got}"
             )
         weights.append(flat.reshape(rows, cols))
         biases.append(np.zeros(rows) if bias is None else bias)

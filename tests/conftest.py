@@ -67,16 +67,15 @@ def jacobian_oracle():
 @pytest.fixture
 def ball_points():
     """The points ``empirical_lower_bound`` documents, drawn apart from it:
-    the origin, then point i from ``default_rng([seed, i])``, a normal
-    direction scaled to radius * u ** (1 / n0)."""
+    the origin, then n_samples rows of n0 + 2 standard normals from one
+    ``default_rng(seed)``, each scaled to length radius and cut to its
+    first n0 coordinates."""
 
     def draw(n0, n_samples, radius, seed):
+        rows = np.random.default_rng(seed).standard_normal((n_samples, n0 + 2))
         points = [np.zeros(n0)]
-        for i in range(n_samples):
-            rng = np.random.default_rng([seed, i])
-            direction = rng.standard_normal(n0)
-            r = radius * rng.random() ** (1.0 / n0)
-            points.append(direction * (r / math.sqrt(direction @ direction)))
+        for z in rows:
+            points.append(z[:n0] * (radius / math.sqrt(z @ z)))
         return points
 
     return draw

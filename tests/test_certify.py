@@ -236,6 +236,22 @@ class TestEmpiricalLowerBound:
             assert norms.shape == (n + 1,)
             np.testing.assert_array_equal(norms, seen[-1][: n + 1])
 
+    @pytest.mark.parametrize("n0", [1, 2, 64])
+    def test_points_uniform_in_ball(self, monkeypatch, n0):
+        # for x uniform in the ball of radius R, (|x| / R)^n0 is uniform on
+        # [0, 1]: mean 1/2, standard error 0.29 / sqrt(20000) = 0.002
+        seen = []
+        monkeypatch.setattr(certify, "jacobian_norms",
+                            lambda net, X: seen.append(X) or np.zeros(len(X)))
+        radius = 3.0
+        empirical_lower_bound(Network((np.ones((1, n0)),)), 20000, radius=radius, seed=7)
+        (X,) = seen
+        assert X.shape == (20001, n0)
+        np.testing.assert_array_equal(X[0], 0.0)
+        r = np.linalg.norm(X[1:], axis=1) / radius
+        assert r.max() <= 1.0
+        assert abs(np.mean(r**n0) - 0.5) <= 0.01
+
     def test_memory_bounded_by_blocks(self):
         # unblocked, the derivative stack alone would take 5001 x 1920 floats
         # (77 MB); the sample points themselves take 2.6 MB

@@ -176,6 +176,22 @@ class TestPersistence:
                      "unknown activation code", id="bad-activation"),
         pytest.param(b"\xff\xfe{}", ParseError, "neither UTF-8 JSON nor LNET",
                      id="not-utf8"),
+        pytest.param(b'{"layers": [{"rows": 1, "cols": 1, "weights": [1' + b"0" * 400 + b"]}]}",
+                     ParseError, "layer 1: int too large to convert to float",
+                     id="weight-beyond-float-range"),
+        pytest.param(b'{"layers": [{"rows": 1, "cols": 1, "weights": [1.0]}, '
+                     b'{"rows": 1, "cols": 1, "weights": [1.0], "bias": [-1' + b"0" * 400
+                     + b"]}]}", ParseError, "layer 2: int too large to convert to float",
+                     id="bias-beyond-float-range"),
+        pytest.param(b'{"activation": ["relu"], "layers": [{"rows": 1, "cols": 1, '
+                     b'"weights": [1.0]}]}', ValueError, "unknown activation",
+                     id="activation-a-list"),
+        pytest.param(b'{"activation": {}, "layers": [{"rows": 1, "cols": 1, '
+                     b'"weights": [1.0]}]}', ValueError, "unknown activation",
+                     id="activation-an-object"),
+        pytest.param(b'{"layers": [{"rows": 2, "cols": 2, "weights": [[1, 0], [0, 1]]}]}',
+                     ParseError, "expected a flat list of 4 weights, got an array of shape",
+                     id="nested-weights"),
         pytest.param(lambda: Network((np.eye(2), np.eye(2)), biases=(np.zeros(2),)),
                      DimensionChainError, "bias count", id="bias-count"),
         pytest.param(lambda: generate_random(2, 0, 3, 3, seed=0), ValueError,
