@@ -225,32 +225,26 @@ def _tails(net: Network) -> list:
     a saving, so a tail that overflowed never stops a point.
     """
     tails = [None] * (net.depth + 1)
-    with np.errstate(all="ignore"):
-        for k in range(net.depth, 1, -1):
-            P = net.weights[k] if k == net.depth else P @ net.weights[k]
-            if np.all(np.isfinite(P)):
-                tails[k] = P.T
+    for k in range(net.depth, 1, -1):
+        P = net.weights[k] if k == net.depth else P @ net.weights[k]
+        if np.all(np.isfinite(P)):
+            tails[k] = P.T
     return tails
 
 
 class _Workspace:
     """What ``run_recursion`` reuses from layer to layer, and a sweep from point to point.
 
-    ``g1`` is G_1 = W_1 W_1^T, read-only and the same for every point,
-    since M_1 = I.  Each layer shape has its arrays, allocated once: X for
-    ``gamma_matrix``, G, and M, which ``cholesky`` turns into L in place.
-    One M per order serves as both L_k and M_{k+1}, since L_k is dead once
-    G_k is formed.  ``x`` is the X that ``gamma`` wrote last.  It also
-    holds the incumbent gamma, which a sweep lowers as it goes, and the
-    tails P_{k+1}, built the first time the incumbent is finite; together
-    they stop a point that cannot win.  A single run's
-    incumbent stays inf, so it never builds the tails and never stops.
+    Each layer shape has its arrays, allocated once: X for ``gamma_matrix``,
+    G, and M, which ``cholesky`` turns into L in place.  One M per order
+    serves as both L_k and M_{k+1}, since L_k is dead once G_k is formed.
+    It also holds the incumbent gamma, which a sweep lowers as it goes, and
+    the tails P_{k+1}, built the first time the incumbent is finite;
+    together they stop a point that cannot win.  A single run's incumbent
+    stays inf, so it never builds the tails and never stops.
     """
 
     def __init__(self, net: Network):
-        with np.errstate(all="ignore"):
-            self.g1 = net.weights[0] @ net.weights[0].T
-        self.g1.flags.writeable = False
         self.net = net
         self.incumbent = math.inf
         self._arrays = {}
@@ -267,14 +261,18 @@ class _Workspace:
             self._arrays[key] = np.empty((rows, cols), order="C" if name == "G" else "F")
         return self._arrays[key]
 
-    def gamma(self, k: int, L) -> np.ndarray:
-        """G_{k+1} in this workspace's arrays, and X_{k+1} = L^{-1} W_{k+1}^T in ``x``."""
-        if k == 0:
-            return self.g1
+    def gamma(self, k: int, L) -> tuple:
+        """(G_{k+1}, X_{k+1}) in this workspace's arrays, X_{k+1} = L^{-1} W_{k+1}^T.
+
+        G_1 = W_1 W_1^T, since M_1 = I: there is no L, and X is None.
+        """
         W = self.net.weights[k]
         m, n = W.shape
-        self.x = self.array("X", n, m)
-        return gamma_matrix(W, L, self.x, self.array("G", m, m))
+        G = self.array("G", m, m)
+        if k == 0:
+            return np.matmul(W, W.T, out=G), None
+        X = self.array("X", n, m)
+        return gamma_matrix(W, L, X, G), X
 
     def tail_gram(self, k: int, X):
         """H = P_k M_k^{-1} P_k^T from X = X_k, None where it leaves the float range.
@@ -287,13 +285,12 @@ class _Workspace:
         """
         if self.tails[k] is None:
             return None
-        with np.errstate(all="ignore"):
-            Y = X @ self.tails[k]
-            H = Y.T @ Y
+        Y = X @ self.tails[k]
+        H = Y.T @ Y
         return H if np.all(np.isfinite(H)) else None
 
-    def beaten(self, k: int) -> bool:
-        """Whether this sweep's point cannot beat the incumbent, from the X_k in ``x``.
+    def beaten(self, k: int, X) -> bool:
+        """Whether this sweep's point cannot beat the incumbent, from X = X_k.
 
         H is PSD, so max diag(H) <= T_k <= trace(H): the eigen-solve runs
         only where the threshold lies between these two.  A tail outside
@@ -301,7 +298,7 @@ class _Workspace:
         """
         if not self.incumbent < math.inf:
             return False
-        H = self.tail_gram(k, self.x)
+        H = self.tail_gram(k, X)
         if H is None:
             return False
         threshold = self.incumbent * (1.0 + PRUNE_MARGIN)
@@ -328,17 +325,17 @@ def run_recursion(net: Network, cfg: StrategyConfig, *, _work: _Workspace | None
     t0 = time.perf_counter()
     work = _Workspace(net) if _work is None else _work
     l = net.depth
-    L = None  # L_1 = I is never formed: G_1 comes from the workspace
+    L = None  # L_1 = I is never formed: G_1 = W_1 W_1^T
     lambdas = []
     per_layer = []
-    for k in range(l):
-        n = net.weights[k].shape[0]
-        M = work.array("M", n, n)
-        # extreme c values can over/underflow on deep nets; treat any
-        # non-finite intermediate as a lost-definiteness grid point
-        with np.errstate(all="ignore"):
-            G = work.gamma(k, L)
-            if k and work.beaten(k + 1):
+    # extreme c values can over/underflow on deep nets; any non-finite
+    # intermediate is a lost-definiteness point, so no warning is wanted
+    with np.errstate(all="ignore"):
+        for k in range(l):
+            n = net.weights[k].shape[0]
+            M = work.array("M", n, n)
+            G, X = work.gamma(k, L)
+            if k and work.beaten(k + 1, X):
                 raise Pruned(k + 1)
             if not np.all(np.isfinite(G)):
                 raise DefinitenessLost(k + 1)
@@ -352,17 +349,16 @@ def run_recursion(net: Network, cfg: StrategyConfig, *, _work: _Workspace | None
             np.fill_diagonal(M, diag)
             S = np.add(M, M.T, out=work.array("G", n, n))
             np.multiply(0.5, S, out=M)
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(M))):
-            raise DefinitenessLost(k + 1)
-        min_m_diag = float(np.min(np.diagonal(M)))
-        try:
-            L = cholesky(M, overwrite=True)
-        except NotPositiveDefinite as exc:
-            raise DefinitenessLost(k + 1) from exc
-        lambdas.append(lam)
-        per_layer.append({"layer": k + 1, "stat": stat, "min_m_diag": min_m_diag})
-    with np.errstate(all="ignore"):
-        G_out = work.gamma(l, L)
+            if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(M))):
+                raise DefinitenessLost(k + 1)
+            min_m_diag = float(np.min(np.diagonal(M)))
+            try:
+                L = cholesky(M, overwrite=True)
+            except NotPositiveDefinite as exc:
+                raise DefinitenessLost(k + 1) from exc
+            lambdas.append(lam)
+            per_layer.append({"layer": k + 1, "stat": stat, "min_m_diag": min_m_diag})
+        G_out, _ = work.gamma(l, L)
         if not np.all(np.isfinite(G_out)):
             raise DefinitenessLost(l + 1)
         gamma = _TOP[cfg.certified](G_out)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, ValidationFailed
 from .linalg import cholesky, gamma_matrix
-from .network import Network, jacobian_norms
+from .network import Network, _block_rows, jacobian_norms
 
 DEFAULT_RADIUS = 10.0
 
@@ -28,6 +28,10 @@ _GAMMA_RTOL = 1e-9
 
 # Shift added to the unit-diagonal scaled feasibility matrix before Cholesky.
 _FEASIBILITY_SHIFT = 1e-9
+
+# Sample points drawn at a time: whole blocks of ``jacobian_norms``, about
+# this many floats of points.
+_CHUNK_FLOATS = 1 << 17
 
 
 @dataclass
@@ -172,20 +176,32 @@ def empirical_lower_bound(
 ) -> float:
     """Max Jacobian spectral norm over sampled inputs (plus the origin).
 
-    One generator, seeded with ``seed``, fills rows 1.. of an
-    (n_samples + 1) x (n0 + 2) array with standard normals, in order; each
-    row is scaled to length ``radius`` and cut to its first n0 coordinates,
-    a point uniform in the ball.  Row 0 is the origin.  Row i never depends
-    on how many rows follow it, in the draw or in ``jacobian_norms``, so
-    sample sets are nested in n_samples and the result is monotone in it.
+    One generator, seeded with ``seed``, fills rows 1..n_samples of
+    n0 + 2 standard normals, in order; each row is scaled to length
+    ``radius`` and cut to its first n0 coordinates, a point uniform in the
+    ball.  Row 0 is the origin.  The rows are drawn and evaluated a chunk
+    at a time, so memory does not grow with n_samples; a chunk is whole
+    blocks of ``jacobian_norms``, so each row keeps its place in its block.
+    Row i never depends on how many rows follow it, in the draw or in
+    ``jacobian_norms``, so sample sets are nested in n_samples and the
+    result is monotone in it.
     """
     _check_sampling(n_samples, radius, seed)
     n0 = net.dims[0]
+    rng = np.random.default_rng(seed)
+    rows = _block_rows(net.dims)
+    chunk = rows * max(1, _CHUNK_FLOATS // (rows * (n0 + 2)))
     # uniform on S^{n0+1} cut to n0 coordinates is uniform in B^{n0} (Barthe et al. 2005)
-    Z = np.zeros((n_samples + 1, n0 + 2))
-    np.random.default_rng(seed).standard_normal(out=Z[1:])
-    Z[1:] *= (radius / np.sqrt(np.einsum("ij,ij->i", Z[1:], Z[1:])))[:, None]
-    return float(jacobian_norms(net, Z[:, :n0]).max())
+    Z = np.zeros((min(chunk, n_samples + 1), n0 + 2))
+    high = -math.inf
+    for start in range(0, n_samples + 1, chunk):
+        Y = Z[:min(chunk, n_samples + 1 - start)]
+        S = Y[1:] if start == 0 else Y  # row 0 of the first chunk stays the origin
+        rng.standard_normal(out=S)
+        S *= (radius / np.sqrt(np.einsum("ij,ij->i", S, S)))[:, None]
+        # np.maximum, not max: a NaN norm carries through as it would in one array
+        high = np.maximum(high, jacobian_norms(net, Y[:, :n0]).max())
+    return float(high)
 
 
 def validate(

@@ -108,6 +108,26 @@ class Network:
         return (self.weights[0].shape[1],) + tuple(W.shape[0] for W in self.weights)
 
 
+def _dimension(layer: dict, field: str) -> int:
+    """A layer's ``rows`` or ``cols``: a JSON integer, not a boolean, not negative."""
+    value = layer[field]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{field} must be a non-negative integer, got {json.dumps(value)}")
+    return value
+
+
+def _numbers(layer: dict, field: str) -> np.ndarray:
+    """A layer's ``weights`` or ``bias`` as float64: numbers, not strings or booleans.
+
+    Decided from the dtype numpy infers for the whole list, not element by
+    element, so a boolean among numbers still reads as a number.
+    """
+    values = np.asarray(layer[field])
+    if values.dtype.kind not in "iufO":  # O: integers beyond int64, converted below
+        raise TypeError(f"{field} must be numbers, not strings or booleans")
+    return values.astype(np.float64, copy=False)
+
+
 def _parse_json(text: str) -> Network:
     try:
         obj = json.loads(text)
@@ -123,12 +143,12 @@ def _parse_json(text: str) -> Network:
     biases = []
     for k, layer in enumerate(layers):
         try:
-            rows, cols = int(layer["rows"]), int(layer["cols"])
-            flat = np.asarray(layer["weights"], dtype=np.float64)
+            rows, cols = _dimension(layer, "rows"), _dimension(layer, "cols")
+            flat = _numbers(layer, "weights")
             bias = layer.get("bias")
             if "bias" in layer and not isinstance(bias, list):
                 raise TypeError(f"bias must be a list of {rows} numbers, got {json.dumps(bias)}")
-            bias = None if bias is None else np.asarray(bias, dtype=np.float64)
+            bias = None if bias is None else _numbers(layer, "bias")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"layer {k + 1}: {exc}") from exc
         if flat.shape != (rows * cols,):
@@ -136,6 +156,8 @@ def _parse_json(text: str) -> Network:
             raise ParseError(
                 f"layer {k + 1}: expected a flat list of {rows * cols} weights, got {got}"
             )
+        if flat.size == 0:  # Network's refusal, made before numpy meets a 10**20 x 0 shape
+            raise DimensionChainError(k + 1, f"weight {k + 1} is empty or not 2-D")
         weights.append(flat.reshape(rows, cols))
         biases.append(np.zeros(rows) if bias is None else bias)
     return Network(

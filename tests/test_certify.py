@@ -240,12 +240,13 @@ class TestEmpiricalLowerBound:
     def test_points_uniform_in_ball(self, monkeypatch, n0):
         # for x uniform in the ball of radius R, (|x| / R)^n0 is uniform on
         # [0, 1]: mean 1/2, standard error 0.29 / sqrt(20000) = 0.002
+        # one call per chunk of points; the chunks share a buffer, so copy
         seen = []
         monkeypatch.setattr(certify, "jacobian_norms",
-                            lambda net, X: seen.append(X) or np.zeros(len(X)))
+                            lambda net, X: seen.append(X.copy()) or np.zeros(len(X)))
         radius = 3.0
         empirical_lower_bound(Network((np.ones((1, n0)),)), 20000, radius=radius, seed=7)
-        (X,) = seen
+        X = np.concatenate(seen)
         assert X.shape == (20001, n0)
         np.testing.assert_array_equal(X[0], 0.0)
         r = np.linalg.norm(X[1:], axis=1) / radius
@@ -263,6 +264,18 @@ class TestEmpiricalLowerBound:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_memory_does_not_grow_with_samples(self):
+        # drawn at once, 100,001 points of 8 + 2 normals peaked at 9.2 MiB;
+        # drawn a chunk of about 2^17 floats at a time, near 1.2 MiB
+        net = generate_random(2, 8, 8, 2, seed=0)
+        tracemalloc.start()
+        try:
+            empirical_lower_bound(net, 100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_requires_samples(self):
         with pytest.raises(ValueError, match="n_samples must be at least 1"):

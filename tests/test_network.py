@@ -192,6 +192,34 @@ class TestPersistence:
         pytest.param(b'{"layers": [{"rows": 2, "cols": 2, "weights": [[1, 0], [0, 1]]}]}',
                      ParseError, "expected a flat list of 4 weights, got an array of shape",
                      id="nested-weights"),
+        pytest.param(b'{"layers": [{"rows": -2, "cols": -2, "weights": [1, 2, 3, 4]}]}',
+                     ParseError, "layer 1: rows must be a non-negative integer, got -2",
+                     id="negative-rows"),
+        pytest.param(b'{"layers": [{"rows": 2.7, "cols": 2, "weights": [1, 2, 3, 4]}]}',
+                     ParseError, "layer 1: rows must be a non-negative integer, got 2.7",
+                     id="fractional-rows"),
+        pytest.param(b'{"layers": [{"rows": 2, "cols": "2", "weights": [1, 2, 3, 4]}]}',
+                     ParseError, 'layer 1: cols must be a non-negative integer, got "2"',
+                     id="string-cols"),
+        pytest.param(b'{"layers": [{"rows": true, "cols": 2, "weights": [1, 2]}]}',
+                     ParseError, "layer 1: rows must be a non-negative integer, got true",
+                     id="boolean-rows"),
+        pytest.param(b'{"layers": [{"rows": 100000000000000000000, "cols": 0, "weights": []}]}',
+                     DimensionChainError, "weight 1 is empty or not 2-D",
+                     id="huge-rows-zero-cols"),
+        pytest.param(b'{"layers": [{"rows": 1, "cols": 2, "weights": ["1", "2"]}]}',
+                     ParseError, "layer 1: weights must be numbers, not strings or booleans",
+                     id="string-weights"),
+        pytest.param(b'{"layers": [{"rows": 1, "cols": 2, "weights": [true, false]}]}',
+                     ParseError, "layer 1: weights must be numbers, not strings or booleans",
+                     id="boolean-weights"),
+        pytest.param(b'{"layers": [{"rows": 1, "cols": 1, "weights": [1.0]}, '
+                     b'{"rows": 1, "cols": 1, "weights": [1.0], "bias": ["1"]}]}',
+                     ParseError, "layer 2: bias must be numbers, not strings or booleans",
+                     id="string-bias"),
+        pytest.param(b'{"layers": [{"rows": 1, "cols": 1, "weights": [1.0], "bias": [true]}]}',
+                     ParseError, "layer 1: bias must be numbers, not strings or booleans",
+                     id="boolean-bias"),
         pytest.param(lambda: Network((np.eye(2), np.eye(2)), biases=(np.zeros(2),)),
                      DimensionChainError, "bias count", id="bias-count"),
         pytest.param(lambda: generate_random(2, 0, 3, 3, seed=0), ValueError,
