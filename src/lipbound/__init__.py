@@ -16,7 +16,6 @@ from . import linalg
 from .bounds import (
     STRATEGIES,
     BoundReport,
-    MultiplierSequence,
     StrategyConfig,
     evaluate,
     product_bound,
@@ -24,6 +23,7 @@ from .bounds import (
 )
 from .certify import (
     LmiCertificate,
+    MultiplierSequence,
     ValidationReport,
     assemble_lipsdp,
     empirical_lower_bound,

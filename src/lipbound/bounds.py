@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .certify import certifies_nothing
+from .certify import MultiplierSequence, certifies_nothing
 from .errors import AllInfeasible, DefinitenessLost, LipboundError, NotPositiveDefinite
 from .linalg import (
     cholesky,
@@ -179,14 +179,6 @@ class StrategyConfig:
             )
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-
-
-@dataclass
-class MultiplierSequence:
-    """Per-layer diagonal multipliers (as 1-D arrays) plus the scalar gamma."""
-
-    lambdas: list
-    gamma: float
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Independent verification of computed bounds.
+"""Reading and independent verification of a computed bound's certificate.
 
 Two routes: (a) check that a multiplier sequence makes the block-tridiagonal
 feasibility matrix positive semidefinite, by a shifted block Cholesky of its
@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, ValidationFailed
+from .errors import DimensionMismatch, NotPositiveDefinite, ParseError, ValidationFailed
 from .linalg import cholesky, gamma_matrix
-from .network import Network, _block_rows, jacobian_norms
+from .network import Network, _block_rows, all_numbers, jacobian_norms
 
 DEFAULT_RADIUS = 10.0
 
-# Relative slack on the margin, on the bound against sqrt(gamma) and (in
-# the CLI) on a report's two copies of gamma; the tight scalar case sits
-# exactly on zero margin.
+# Relative slack on the margin, on the bound against sqrt(gamma) and on a
+# report's two copies of gamma; the tight scalar case sits exactly on zero
+# margin.
 _MARGIN_RTOL = 1e-12
 _GAMMA_RTOL = 1e-9
 
@@ -32,6 +32,14 @@ _FEASIBILITY_SHIFT = 1e-9
 # Sample points drawn at a time: whole blocks of ``jacobian_norms``, about
 # this many floats of points.
 _CHUNK_FLOATS = 1 << 17
+
+
+@dataclass
+class MultiplierSequence:
+    """Per-layer diagonal multipliers (as 1-D arrays) plus the scalar gamma."""
+
+    lambdas: list
+    gamma: float
 
 
 @dataclass
@@ -57,6 +65,40 @@ def certifies_nothing(gamma: float, net: Network) -> bool:
     """Whether gamma is not finite, or 0 under a nonzero output layer: no PSD
     feasibility matrix has that, since a zero diagonal entry means a zero row."""
     return not math.isfinite(gamma) or (gamma == 0.0 and bool(np.any(net.weights[-1])))
+
+
+def read_certificate(payload) -> tuple:
+    """The certificate a parsed JSON report states: (bound, multipliers).
+
+    Reads ``bound``, ``multipliers.lambdas`` and ``multipliers.gamma``, and
+    the top-level ``gamma`` where present, which must agree with
+    ``multipliers.gamma`` (ValidationFailed otherwise); how the run was
+    configured is never read.  Raises ParseError if a field is missing, not
+    numbers by ``all_numbers`` or beyond the float range.
+    """
+    payload = payload if isinstance(payload, dict) else {}
+    ms = payload.get("multipliers")
+    ms = ms if isinstance(ms, dict) else {}
+    lambdas = ms.get("lambdas")
+    fields = {"bound": payload.get("bound"), "multipliers.gamma": ms.get("gamma")}
+    fields["gamma"] = payload.get("gamma", fields["multipliers.gamma"])
+    for name, value in fields.items():
+        if not all_numbers([value]):
+            raise ParseError(f"report field {name} is missing or not a number")
+    if not (isinstance(lambdas, list) and all(
+            isinstance(lam, list) and all_numbers(lam) for lam in lambdas)):
+        raise ParseError("report field multipliers.lambdas is missing or not lists of numbers")
+    try:  # JSON integers have no size limit
+        bound, gamma, stated = (float(v) for v in fields.values())
+        lambdas = [np.asarray(lam, dtype=np.float64) for lam in lambdas]
+    except OverflowError as exc:
+        raise ParseError(f"report number outside the float range: {exc}") from exc
+    # "not <=" so that a NaN on either side never agrees
+    if "gamma" in payload and not abs(stated - gamma) <= _GAMMA_RTOL * abs(gamma):
+        raise ValidationFailed(
+            f"report gamma {stated} disagrees with multipliers.gamma {gamma}"
+        )
+    return bound, MultiplierSequence(lambdas, gamma)
 
 
 def _checked_lambdas(net: Network, ms) -> list:

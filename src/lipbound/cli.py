@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import METHODS, MultiplierSequence, evaluate, reads, report_to_dict
-from .certify import _GAMMA_RTOL, DEFAULT_RADIUS, validate
+from .bounds import METHODS, evaluate, reads, report_to_dict
+from .certify import DEFAULT_RADIUS, read_certificate, validate
 from .errors import (
     AllInfeasible,
     DefinitenessLost,
@@ -168,49 +168,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def read_certificate(payload) -> tuple:
-    """The certificate a parsed JSON report states: (bound, multipliers).
-
-    Reads ``bound``, ``multipliers.lambdas`` and ``multipliers.gamma``, and
-    the top-level ``gamma`` where present, which must agree with
-    ``multipliers.gamma`` (ValidationFailed otherwise); how the run was
-    configured is never read.  Raises ParseError if a field is missing, not
-    numeric or beyond the float range.
-    """
-    payload = payload if isinstance(payload, dict) else {}
-    ms = payload.get("multipliers")
-    ms = ms if isinstance(ms, dict) else {}
-    lambdas = ms.get("lambdas")
-    fields = {"bound": payload.get("bound"), "multipliers.gamma": ms.get("gamma")}
-    fields["gamma"] = payload.get("gamma", fields["multipliers.gamma"])
-    for name, value in fields.items():
-        if not _is_number(value):
-            raise ParseError(f"report field {name} is missing or not a number")
-    if not (isinstance(lambdas, list) and all(
-            isinstance(lam, list) and all(map(_is_number, lam)) for lam in lambdas)):
-        raise ParseError(
-            "report field multipliers.lambdas is missing or not lists of numbers"
-        )
-    try:  # JSON integers have no size limit
-        bound, gamma, stated = (float(v) for v in fields.values())
-        lambdas = [np.array(lam, dtype=np.float64) for lam in lambdas]
-    except OverflowError as exc:
-        raise ParseError(f"report number outside the float range: {exc}") from exc
-    # "not <=" so that a NaN on either side never agrees
-    if "gamma" in payload and not abs(stated - gamma) <= _GAMMA_RTOL * abs(gamma):
-        raise ValidationFailed(
-            f"report gamma {stated} disagrees with multipliers.gamma {gamma}"
-        )
-    return bound, MultiplierSequence(lambdas, gamma)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     net = load_network(args.net)
-    bound, multipliers = read_certificate(json.loads(Path(args.report).read_text()))
+    try:
+        payload = json.loads(Path(args.report).read_bytes().decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        raise ParseError(f"report is not UTF-8 JSON: {exc}") from exc
+    bound, multipliers = read_certificate(payload)
     vr = validate(
         net, bound, multipliers, n_samples=args.samples, seed=args.seed,
         radius=args.radius,

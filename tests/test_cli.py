@@ -85,6 +85,11 @@ REPORT_EDITS = {
     "lambda-entry-string": (
         "fast", _multipliers(lambdas=[["x"]]), 2,
         "field multipliers.lambdas is missing or not lists of numbers"),
+    "bound-boolean": (
+        "fast", lambda p: {**p, "bound": True}, 2, "field bound is missing or not a number"),
+    "lambda-entry-boolean": (
+        "fast", _multipliers(lambdas=[[0.5, True]]), 2,
+        "field multipliers.lambdas is missing or not lists of numbers"),
     "top-level-gamma-halved": (
         "fast", lambda p: {**p, "gamma": 0.5 * p["gamma"]}, 6,
         "disagrees with multipliers.gamma"),
@@ -481,6 +486,15 @@ class TestVerify:
             assert "psd=True" in out
         else:
             assert message in err
+
+    @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}"],
+                             ids=["not-json", "not-utf8"])
+    def test_report_not_json_named(self, oracle_path, tmp_path, capsys, content):
+        report_path = tmp_path / "r.json"
+        report_path.write_bytes(content)
+        assert main(["verify", "--net", str(oracle_path), "--report",
+                     str(report_path), "--samples", "5"]) == 2
+        assert "error: report is not UTF-8 JSON: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
     def test_radius_finite_and_positive(self, oracle_path, tmp_path, capsys, radius):

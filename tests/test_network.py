@@ -213,6 +213,19 @@ class TestPersistence:
         pytest.param(b'{"layers": [{"rows": 1, "cols": 2, "weights": [true, false]}]}',
                      ParseError, "layer 1: weights must be numbers, not strings or booleans",
                      id="boolean-weights"),
+        pytest.param(b'{"layers": [{"rows": 1, "cols": 2, "weights": [1, true]}]}',
+                     ParseError, "layer 1: weights must be numbers, not strings or booleans",
+                     id="boolean-among-integer-weights"),
+        pytest.param(b'{"layers": [{"rows": 1, "cols": 2, "weights": [1.5, false]}]}',
+                     ParseError, "layer 1: weights must be numbers, not strings or booleans",
+                     id="boolean-among-float-weights"),
+        pytest.param(b'{"layers": [{"rows": 1, "cols": 2, "weights": [null, 1.0]}]}',
+                     ParseError, "layer 1: weights must be numbers, not strings or booleans",
+                     id="null-among-weights"),
+        pytest.param(b'{"layers": [{"rows": 2, "cols": 1, "weights": [1.0, 1.0], '
+                     b'"bias": [0, true]}]}',
+                     ParseError, "layer 1: bias must be numbers, not strings or booleans",
+                     id="boolean-among-bias"),
         pytest.param(b'{"layers": [{"rows": 1, "cols": 1, "weights": [1.0]}, '
                      b'{"rows": 1, "cols": 1, "weights": [1.0], "bias": ["1"]}]}',
                      ParseError, "layer 2: bias must be numbers, not strings or booleans",
