@@ -45,7 +45,7 @@ from .errors import (
     ValidationFailed,
 )
 from .linalg import openblas_threads
-from .network import ACTIVATIONS, generate_random, load_network, save_network
+from .network import ACTIVATIONS, generate_random, load_network, read_json, save_network
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,10 +170,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     net = load_network(args.net)
-    try:
-        payload = json.loads(Path(args.report).read_bytes().decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
-        raise ParseError(f"report is not UTF-8 JSON: {exc}") from exc
+    payload = read_json(Path(args.report).read_bytes(), "report is not UTF-8 JSON")
     bound, multipliers = read_certificate(payload)
     vr = validate(
         net, bound, multipliers, n_samples=args.samples, seed=args.seed,

@@ -131,11 +131,18 @@ def _numbers(layer: dict, field: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _parse_json(text: str) -> Network:
+def read_json(data: bytes, refusal: str):
+    """The JSON document in ``data``: the one decoder of a network file and a report.
+    Bytes that are not UTF-8, not JSON or nested beyond the parser's recursion
+    limit raise ``ParseError(f"{refusal}: <the decoder's message>")``."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ParseError(f"{refusal}: {exc}") from exc
+
+
+def _parse_json(obj) -> Network:
+    """The network a decoded JSON manifest describes, each fault named by its layer."""
     if not isinstance(obj, dict) or "layers" not in obj:
         raise ParseError("manifest must be an object with a 'layers' list")
     layers = obj["layers"]
@@ -146,6 +153,8 @@ def _parse_json(text: str) -> Network:
     biases = []
     for k, layer in enumerate(layers):
         try:
+            if type(layer) is not dict:
+                raise TypeError("must be an object with rows, cols and weights")
             rows, cols = _dimension(layer, "rows"), _dimension(layer, "cols")
             flat = _numbers(layer, "weights")
             if flat.shape != (rows * cols,):
@@ -155,7 +164,9 @@ def _parse_json(text: str) -> Network:
             if "bias" in layer and not isinstance(bias, list):
                 raise TypeError(f"bias must be a list of {rows} numbers, got {json.dumps(bias)}")
             bias = None if bias is None else _numbers(layer, "bias")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except KeyError as exc:  # only a layer[field] lookup raises it
+            raise ParseError(f"layer {k + 1}: missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"layer {k + 1}: {exc}") from exc
         if flat.size == 0:  # Network's refusal, made before numpy meets a 10**20 x 0 shape
             raise DimensionChainError(k + 1, f"weight {k + 1} is empty or not 2-D")
@@ -180,39 +191,27 @@ def _parse_binary(data: bytes) -> Network:
     # a truncated table reads as fewer layers, which the length check rejects
     table = data[_HEADER.size:offset]
     shapes = list(_SHAPE.iter_unpack(table[: len(table) - len(table) % _SHAPE.size]))
-    size = offset + 8 * sum(r * c + (r if has_bias else 0) for r, c in shapes)
-    if len(data) != size:
+    # every weight matrix, then every bias if present: one run of float64s
+    counts = [r * c for r, c in shapes] + ([r for r, _c in shapes] if has_bias else [])
+    if len(data) != offset + 8 * sum(counts):
         raise ParseError(
             f"binary network file of {len(data)} bytes does not match its "
             "header and layer table: truncated or trailing bytes"
         )
-    weights = []
-    for rows, cols in shapes:
-        n = rows * cols
-        weights.append(
-            np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(rows, cols)
-        )
-        offset += 8 * n
-    biases = None
-    if has_bias:
-        bs = []
-        for rows, _cols in shapes:
-            bs.append(np.frombuffer(data, dtype="<f8", count=rows, offset=offset))
-            offset += 8 * rows
-        biases = tuple(bs)
-    return Network(tuple(weights), biases, list(ACTIVATIONS)[act_idx])
+    parts = np.split(np.frombuffer(data, dtype="<f8", offset=offset),
+                     np.cumsum(counts[:-1], dtype=np.int64))
+    weights = tuple(W.reshape(shape) for W, shape in zip(parts, shapes))
+    biases = tuple(parts[len(shapes):]) if has_bias else None
+    return Network(weights, biases, list(ACTIVATIONS)[act_idx])
 
 
 def load_network(path) -> Network:
-    """Load a network from a JSON manifest or the binary sidecar format."""
+    """Load a network from the LNET binary format (sniffed by its magic bytes) or
+    a JSON manifest, decoded by ``read_json``."""
     data = Path(path).read_bytes()
     if data[:4] == _MAGIC:
         return _parse_binary(data)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError("file is neither UTF-8 JSON nor LNET binary") from exc
-    return _parse_json(text)
+    return _parse_json(read_json(data, "file is neither UTF-8 JSON nor LNET binary"))
 
 
 def save_network(net: Network, path, binary: bool = False) -> None:
@@ -271,6 +270,8 @@ def generate_random(
         raise ValueError("depth must be at least 1")
     if min(width, in_dim, out_dim) < 1:
         raise ValueError("dimensions must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
     dims = [in_dim] + [width] * depth + [out_dim]
     weights = []

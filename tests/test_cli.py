@@ -487,8 +487,9 @@ class TestVerify:
         else:
             assert message in err
 
-    @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}"],
-                             ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}",
+                                         b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-json", "not-utf8", "nested-beyond-recursion-limit"])
     def test_report_not_json_named(self, oracle_path, tmp_path, capsys, content):
         report_path = tmp_path / "r.json"
         report_path.write_bytes(content)

@@ -176,6 +176,19 @@ class TestPersistence:
                      "unknown activation code", id="bad-activation"),
         pytest.param(b"\xff\xfe{}", ParseError, "neither UTF-8 JSON nor LNET",
                      id="not-utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, ParseError,
+                     "neither UTF-8 JSON nor LNET", id="nested-beyond-recursion-limit"),
+        pytest.param(b'{"layers": [1]}', ParseError,
+                     "layer 1: must be an object with rows, cols and weights",
+                     id="layer-a-number"),
+        pytest.param(b'{"layers": ["abc"]}', ParseError,
+                     "layer 1: must be an object with rows, cols and weights",
+                     id="layer-a-string"),
+        pytest.param(b'{"layers": [{"cols": 1, "weights": [1.0]}]}', ParseError,
+                     "layer 1: missing field 'rows'", id="layer-without-rows"),
+        pytest.param(b'{"layers": [{"rows": 1, "cols": 1, "weights": [1.0]}, '
+                     b'{"rows": 1, "cols": 1}]}', ParseError,
+                     "layer 2: missing field 'weights'", id="layer-without-weights"),
         pytest.param(b'{"layers": [{"rows": 1, "cols": 1, "weights": [1' + b"0" * 400 + b"]}]}",
                      ParseError, "layer 1: int too large to convert to float",
                      id="weight-beyond-float-range"),
@@ -237,6 +250,8 @@ class TestPersistence:
                      DimensionChainError, "bias count", id="bias-count"),
         pytest.param(lambda: generate_random(2, 0, 3, 3, seed=0), ValueError,
                      "dimensions must be at least 1", id="zero-width"),
+        pytest.param(lambda: generate_random(2, 3, 3, 3, seed=-1), ValueError,
+                     "seed must be a non-negative integer, got -1", id="negative-seed"),
     ])
     def test_input_error_named(self, tmp_path, capsys, case, error, message):
         if callable(case):
